@@ -2,10 +2,9 @@
 //!
 //! Replays a CDN-T-profile trace through a fixed policy set and reports,
 //! per policy: requests/sec, ns/request, miss ratio and peak
-//! policy-metadata bytes — plus the monomorphized-vs-`dyn` dispatch
-//! speedup on LRU, the parallel-sweep scaling across all policies, the
-//! sharded-replay scaling curve (`shard_scaling`) and the pipelined-batch
-//! configuration (`batching`). Results go to stdout and to
+//! policy-metadata bytes — plus the parallel-sweep scaling across all
+//! policies, the sharded-replay scaling curve (`shard_scaling`) and the
+//! pipelined-batch configuration (`batching`). Results go to stdout and to
 //! `BENCH_replay.json` (working directory; run from the repo root) so
 //! later PRs have a perf trajectory to defend.
 //!
@@ -46,8 +45,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cdn_cache::{llc_bytes, Request};
-use cdn_policies::{replay, replay_dyn};
-use cdn_sim::runner::run_policy_dyn;
 use cdn_sim::{
     parallel_runs, peak_rss_bytes, run_sharded, run_sharded_serial, BatchMode, Checkpoint,
     PolicyKind, RunMeasurement, TraceCtx, TraceSource, AUTO_PREFETCH_DIST,
@@ -100,39 +97,6 @@ struct ShardPoint {
     ideal: usize,
     imbalance: f64,
     aggregate_miss_ratio: f64,
-}
-
-/// Best requests/sec for two alternatives measured back-to-back `reps`
-/// times, alternating which side goes first each rep (whichever runs
-/// second inherits warm allocator pages from the first, so a fixed order
-/// biases the comparison). One untimed warmup of each side first; slow
-/// drift (frequency scaling, noisy neighbours) then hits both sides
-/// equally and best-of-N absorbs the rest.
-fn best_rps_interleaved(
-    n: usize,
-    reps: usize,
-    mut a: impl FnMut(),
-    mut b: impl FnMut(),
-) -> (f64, f64) {
-    let time = |f: &mut dyn FnMut()| {
-        let start = Instant::now();
-        f();
-        n as f64 / start.elapsed().as_secs_f64().max(1e-9)
-    };
-    a();
-    b();
-    let mut best_a = 0f64;
-    let mut best_b = 0f64;
-    for rep in 0..reps {
-        if rep % 2 == 0 {
-            best_a = best_a.max(time(&mut a));
-            best_b = best_b.max(time(&mut b));
-        } else {
-            best_b = best_b.max(time(&mut b));
-            best_a = best_a.max(time(&mut a));
-        }
-    }
-    (best_a, best_b)
 }
 
 fn json_escape(s: &str) -> String {
@@ -697,6 +661,7 @@ fn main() {
     // (possibly crashed) run are reused instead of re-replayed.
     let checkpoint = Checkpoint::from_env();
     let trace_hash = columns.content_hash();
+    let batch_mode = BatchMode::from_env();
     let mut measurements: Vec<RunMeasurement> = Vec::new();
     let mut serial_secs = 0f64;
     let mut cached = 0usize;
@@ -713,8 +678,8 @@ fn main() {
         // the faster attempt is the one closer to the machine's actual
         // capability. Quality metrics are identical across attempts
         // (replay is deterministic), only the clock differs.
-        let first = kind.run_monomorphized_columns(cache_bytes, &columns, &ctx);
-        let second = kind.run_monomorphized_columns(cache_bytes, &columns, &ctx);
+        let first = kind.replay_batched(cache_bytes, &columns, &ctx, batch_mode);
+        let second = kind.replay_batched(cache_bytes, &columns, &ctx, batch_mode);
         let m = if second.tps > first.tps {
             second
         } else {
@@ -736,31 +701,7 @@ fn main() {
         measurements.push(m);
     }
 
-    // Dispatch overhead: the same LRU replay through the monomorphized
-    // fast path vs the `dyn CachePolicy` reference. The kind is laundered
-    // through `black_box` so the dyn side cannot be devirtualized — it
-    // stands in for sweep code where the policy is runtime data.
     let n = trace.len();
-    let opaque_kind = std::hint::black_box(PolicyKind::Lru);
-    let (mono_rps, dyn_rps) = best_rps_interleaved(
-        n,
-        5,
-        || {
-            let mut p = cdn_policies::replacement::Lru::new(cache_bytes);
-            std::hint::black_box(replay(&mut p, &trace));
-        },
-        || {
-            let mut p = opaque_kind.build(cache_bytes, &ctx);
-            std::hint::black_box(replay_dyn(p.as_mut(), &trace));
-        },
-    );
-    let speedup = mono_rps / dyn_rps.max(1.0);
-    eprintln!(
-        "LRU dispatch: mono {:.2} Mreq/s vs dyn {:.2} Mreq/s ({speedup:.2}x)",
-        mono_rps / 1e6,
-        dyn_rps / 1e6
-    );
-
     // Sweep scaling: all policies in parallel over the shared columns.
     let cores = std::thread::available_parallelism()
         .map(|w| w.get())
@@ -771,7 +712,7 @@ fn main() {
         .map(|&kind| {
             let columns = Arc::clone(&columns);
             let ctx = ctx.clone();
-            move || kind.run_monomorphized_columns(cache_bytes, &columns, &ctx)
+            move || kind.replay_batched(cache_bytes, &columns, &ctx, batch_mode)
         })
         .collect();
     let sweep_start = Instant::now();
@@ -814,7 +755,6 @@ fn main() {
     // tests/shard_check.rs). LRU is the headline (cheapest per-request
     // work, so it stresses the threading overheads hardest); SCIP rides
     // along as the paper's policy.
-    let batch_mode = BatchMode::from_env();
     let shard_counts = shard_counts_from_env();
     let mut shard_points: Vec<ShardPoint> = Vec::new();
     for &n in &shard_counts {
@@ -963,10 +903,6 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"dispatch\": {{\"policy\": \"LRU\", \"mono_requests_per_sec\": {mono_rps:.1}, \
-         \"dyn_requests_per_sec\": {dyn_rps:.1}, \"speedup\": {speedup:.3}}},\n"
-    ));
     let (serial_json, speedup_json) = match sweep_speedup {
         Some(speedup) => (format!("{serial_secs:.3}"), format!("{speedup:.3}")),
         None => ("null".to_string(), "null".to_string()),
@@ -1060,13 +996,4 @@ fn main() {
     }
     println!("{json}");
     eprintln!("wrote {out_path}");
-
-    // Keep the dyn reference path exercised so regressions in either
-    // dispatch mode surface here, not in a downstream PR.
-    let check = run_policy_dyn(PolicyKind::Lru, cache_bytes, &trace, &ctx);
-    let mono_check = &measurements[0];
-    assert_eq!(
-        check.miss_ratio, mono_check.miss_ratio,
-        "dyn and monomorphized replay disagree"
-    );
 }

@@ -24,43 +24,6 @@ use cdn_sim::sweep::SweepConfig;
 use cdn_sim::Checkpoint;
 use cdn_trace::{TraceColumns, TraceStats};
 
-fn parse_policy(label: &str) -> Option<PolicyKind> {
-    let all = [
-        PolicyKind::Lru,
-        PolicyKind::Lip,
-        PolicyKind::Bip,
-        PolicyKind::Dip,
-        PolicyKind::Pipp,
-        PolicyKind::Dta,
-        PolicyKind::Ship,
-        PolicyKind::Dgippr,
-        PolicyKind::Daaip,
-        PolicyKind::AscIp,
-        PolicyKind::Sci,
-        PolicyKind::Scip,
-        PolicyKind::LruK,
-        PolicyKind::S4Lru,
-        PolicyKind::SsLru,
-        PolicyKind::Gdsf,
-        PolicyKind::Lhd,
-        PolicyKind::Arc,
-        PolicyKind::LeCar,
-        PolicyKind::Cacheus,
-        PolicyKind::Lrb,
-        PolicyKind::GlCache,
-        PolicyKind::TwoQ,
-        PolicyKind::TinyLfu,
-        PolicyKind::AdaptSize,
-        PolicyKind::Belady,
-        PolicyKind::LruKScip,
-        PolicyKind::LruKAscIp,
-        PolicyKind::LrbScip,
-        PolicyKind::LrbAscIp,
-    ];
-    all.into_iter()
-        .find(|k| k.label().eq_ignore_ascii_case(label))
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.len() < 2 {
@@ -101,7 +64,7 @@ fn main() {
         args[2..]
             .iter()
             .map(|l| {
-                parse_policy(l).unwrap_or_else(|| {
+                PolicyKind::from_label(l).unwrap_or_else(|| {
                     eprintln!("unknown policy {l}");
                     exit(2);
                 })

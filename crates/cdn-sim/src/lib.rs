@@ -4,14 +4,21 @@
 //!   every algorithm in the workspace against a trace context, plus the
 //!   instrumented replay that measures miss ratio, TPS, per-request CPU
 //!   time and peak metadata memory — the quantities behind Figures 8-12.
-//!   Replays dispatch once per run and monomorphize
-//!   ([`runner::PolicyKind::run_monomorphized`]); the `dyn` path stays
-//!   available as [`runner::run_policy_dyn`].
+//!   Replays dispatch once per run and monomorphize, and every entry
+//!   point — [`runner::run_policy`], [`runner::PolicyKind::replay_batched`],
+//!   [`runner::PolicyKind::replay_stream`] and the observer hook
+//!   [`runner::PolicyKind::replay_observed`] the oracle suites use — runs
+//!   the same per-request loop.
+//! - [`shard`]: one policy instance per key partition, replayed on
+//!   dedicated threads ([`shard::run_sharded`]), serially
+//!   ([`shard::run_sharded_serial`]), from a chunk stream
+//!   ([`shard::run_sharded_stream`]) or with failover routing
+//!   ([`shard::run_routed_serial`]).
 //! - [`sweep`]: lock-free parallel execution of
 //!   {workload × policy × cache size} grids (atomic work distributor,
 //!   per-job disjoint result slots), with per-job panic isolation and
-//!   bounded retry ([`sweep::run_jobs`]) alongside the strict
-//!   abort-on-panic path ([`sweep::parallel_runs`]).
+//!   bounded retry ([`sweep::run_jobs`]); [`sweep::parallel_runs`] is its
+//!   strict abort-on-panic form.
 //! - [`checkpoint`]: JSONL sidecar checkpoint/resume for sweeps, keyed
 //!   by stable job fingerprints (policy + cache size + trace content
 //!   hash + seed); set `CDN_SIM_CHECKPOINT` to enable for experiments.
@@ -44,13 +51,10 @@ pub mod table;
 
 pub use checkpoint::{job_fingerprint, run_checkpointed, Checkpoint};
 pub use experiments::ExperimentError;
-pub use runner::{
-    run_policy, run_policy_dyn, BatchMode, PolicyKind, RunMeasurement, TraceCtx, AUTO_PREFETCH_DIST,
-};
+pub use runner::{run_policy, BatchMode, PolicyKind, RunMeasurement, TraceCtx, AUTO_PREFETCH_DIST};
 pub use shard::{
-    run_routed_serial, run_sharded, run_sharded_serial, run_sharded_stream,
-    run_sharded_stream_serial, AggregateMeasurement, OutageWindow, RoutedRunReport,
-    RoutedShardLedger, ShardedRunReport, SHARD_QUEUE_SLOTS,
+    run_routed_serial, run_sharded, run_sharded_serial, run_sharded_stream, AggregateMeasurement,
+    OutageWindow, RoutedRunReport, RoutedShardLedger, ShardedRunReport, SHARD_QUEUE_SLOTS,
 };
 pub use stream::{sweep_streamed, TraceSource};
 pub use sweep::{parallel_runs, run_jobs, JobOutcome, SweepConfig, SweepReport};

@@ -3,12 +3,13 @@
 //! [`PolicyKind`] dispatches **once per run**, not once per request: the
 //! `dispatch_policy!` macro builds the concrete policy type for a kind and
 //! hands it to a generic replay loop, so the whole per-request path
-//! monomorphizes (no virtual call, full inlining). The boxed
-//! [`PolicyKind::build`] constructor and [`run_policy_dyn`] keep the
-//! `dyn CachePolicy` path available for heterogeneous collections and as
-//! the reference the equivalence tests and the throughput harness's
-//! speedup baseline compare against.
+//! monomorphizes (no virtual call, full inlining). Every replay — measured
+//! or observed, in RAM or streamed, straight or pipelined — runs the one
+//! per-request loop, `replay_span`; an in-RAM trace is a one-span
+//! stream. The boxed [`PolicyKind::build`] constructor serves
+//! heterogeneous collections (the routed reference, the daemon).
 
+use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -299,9 +300,19 @@ impl PolicyKind {
         crate::checkpoint::job_fingerprint(self.label(), cache_bytes, trace_hash, seed)
     }
 
+    /// Case-insensitive lookup of a [`PolicyKind::label`] over
+    /// [`PolicyKind::ALL`]: the parser behind every CLI and environment
+    /// knob that names a policy.
+    pub fn from_label(label: &str) -> Option<PolicyKind> {
+        PolicyKind::ALL
+            .into_iter()
+            .find(|k| k.label().eq_ignore_ascii_case(label))
+    }
+
     /// Instantiate the policy at `capacity` bytes, boxed for heterogeneous
-    /// collections. Hot sweep paths should prefer the monomorphized
-    /// [`PolicyKind::run_monomorphized`] family instead.
+    /// collections (the routed reference, the daemon's shard factories).
+    /// Replays go through [`PolicyKind::replay_batched`] and its siblings
+    /// instead, which dispatch once and monomorphize the loop.
     pub fn build(self, capacity: u64, ctx: &TraceCtx) -> Box<dyn CachePolicy> {
         fn boxed<P: CachePolicy + 'static>(p: P) -> Box<dyn CachePolicy> {
             Box::new(p)
@@ -309,59 +320,7 @@ impl PolicyKind {
         dispatch_policy!(self, capacity, ctx, boxed())
     }
 
-    /// Replay `trace` through a freshly built policy with static dispatch:
-    /// one `match` per run selects the concrete type, then the whole
-    /// per-request loop monomorphizes. Pipelining follows
-    /// [`BatchMode::from_env`].
-    pub fn run_monomorphized(
-        self,
-        capacity: u64,
-        trace: &[Request],
-        ctx: &TraceCtx,
-    ) -> RunMeasurement {
-        fn go<P: CachePolicy>(policy: P, label: &'static str, trace: &[Request]) -> RunMeasurement {
-            instrumented_replay(policy, label, trace, BatchMode::from_env())
-        }
-        dispatch_policy!(self, capacity, ctx, go(self.label(), trace))
-    }
-
-    /// Replay `trace` with static dispatch, invoking `observe` after every
-    /// request with `(index, request, outcome, used_bytes, capacity)`.
-    ///
-    /// This is the hook the model-check suite drives adversarial traces
-    /// through: the observer can assert per-step invariants (occupancy ≤
-    /// capacity, oversized ⇒ [`AccessKind::Rejected`], …) against any
-    /// [`PolicyKind`] without each test reimplementing dispatch.
-    pub fn run_with_observer<F>(self, capacity: u64, trace: &[Request], ctx: &TraceCtx, observe: F)
-    where
-        F: FnMut(usize, &Request, AccessKind, u64, u64),
-    {
-        fn go<P: CachePolicy, F: FnMut(usize, &Request, AccessKind, u64, u64)>(
-            mut policy: P,
-            trace: &[Request],
-            mut observe: F,
-        ) {
-            for (i, req) in trace.iter().enumerate() {
-                let outcome = policy.on_request(req);
-                observe(i, req, outcome, policy.used_bytes(), policy.capacity());
-            }
-        }
-        dispatch_policy!(self, capacity, ctx, go(trace, observe))
-    }
-
-    /// [`PolicyKind::run_monomorphized`] over a structure-of-arrays trace
-    /// (the layout the sweep shares across workers). Pipelining follows
-    /// [`BatchMode::from_env`].
-    pub fn run_monomorphized_columns(
-        self,
-        capacity: u64,
-        trace: &TraceColumns,
-        ctx: &TraceCtx,
-    ) -> RunMeasurement {
-        self.replay_batched(capacity, trace, ctx, BatchMode::from_env())
-    }
-
-    /// The batched replay entry point: replay a structure-of-arrays trace
+    /// Replay a structure-of-arrays trace through a freshly built policy
     /// with an explicit [`BatchMode`] (callers that must not consult the
     /// environment — bench sections, identity tests — pass the mode
     /// directly).
@@ -372,22 +331,18 @@ impl PolicyKind {
         ctx: &TraceCtx,
         mode: BatchMode,
     ) -> RunMeasurement {
-        fn go<P: CachePolicy>(
-            policy: P,
-            label: &'static str,
-            trace: &TraceColumns,
-            mode: BatchMode,
-        ) -> RunMeasurement {
-            instrumented_replay(policy, label, trace, mode)
-        }
-        dispatch_policy!(self, capacity, ctx, go(self.label(), trace, mode))
+        dispatch_policy!(
+            self,
+            capacity,
+            ctx,
+            replay_in_ram(self.label(), trace, mode)
+        )
     }
 
     /// Replay a chunk stream (out-of-core trace) through a freshly built
-    /// policy with static dispatch. One policy instance and one ledger
-    /// persist across every chunk, and the per-request instructions are
-    /// the same monomorphized hot loop the in-RAM
-    /// [`PolicyKind::replay_batched`] runs, so the returned ledgers
+    /// policy. One policy instance and one ledger persist across every
+    /// chunk, and each chunk runs the same per-request loop as the
+    /// in-RAM [`PolicyKind::replay_batched`], so the returned ledgers
     /// (`hits`/`misses`/`hit_bytes`/`miss_bytes`) are u64-identical to an
     /// in-RAM replay of the concatenated trace (pinned for all of
     /// [`PolicyKind::ALL`] by `tests/stream_identity.rs`).
@@ -406,101 +361,52 @@ impl PolicyKind {
     where
         I: IntoIterator<Item = Result<TraceColumns, E>>,
     {
-        fn go<P: CachePolicy, I, E>(
-            policy: P,
-            label: &'static str,
-            chunks: I,
-            total_hint: usize,
-            mode: BatchMode,
-        ) -> Result<RunMeasurement, E>
-        where
-            I: IntoIterator<Item = Result<TraceColumns, E>>,
-        {
-            instrumented_replay_stream(policy, label, chunks, total_hint, mode)
-        }
         let total_hint = ctx.requests as usize;
         dispatch_policy!(
             self,
             capacity,
             ctx,
-            go(self.label(), chunks, total_hint, mode)
+            replay_chunks(self.label(), chunks, total_hint, mode, |_, _, _, _| {})
         )
     }
 
-    /// [`PolicyKind::run_with_observer`] over a chunk stream: the same
-    /// plain per-request loop, one policy instance across chunks, with
-    /// the observer seeing the global request index. Returns the first
-    /// stream error, after the observer has seen every request decoded
-    /// before the failure point.
-    pub fn run_with_observer_stream<I, E, F>(
+    /// [`PolicyKind::replay_stream`] with `observe` called after every
+    /// request as `(index, request, outcome, used_bytes, capacity)`, the
+    /// index counting across spans. An in-RAM trace is a one-span source
+    /// (`[Ok::<_, Infallible>(&trace[..])]`).
+    ///
+    /// This is the hook the model-check, golden, batched-identity and
+    /// streamed-identity suites drive every [`PolicyKind`] through, so
+    /// their oracles run the exact loop the measured replays run. The
+    /// observer can assert per-step invariants (occupancy ≤ capacity,
+    /// oversized ⇒ [`AccessKind::Rejected`], …). On a stream error the
+    /// observer has seen every request decoded before the failure point.
+    pub fn replay_observed<S, I, E, F>(
         self,
         capacity: u64,
         chunks: I,
         ctx: &TraceCtx,
-        observe: F,
-    ) -> Result<(), E>
+        mode: BatchMode,
+        mut observe: F,
+    ) -> Result<RunMeasurement, E>
     where
-        I: IntoIterator<Item = Result<TraceColumns, E>>,
+        S: RequestSource,
+        I: IntoIterator<Item = Result<S, E>>,
         F: FnMut(usize, &Request, AccessKind, u64, u64),
     {
-        fn go<P, I, E, F>(mut policy: P, chunks: I, mut observe: F) -> Result<(), E>
-        where
-            P: CachePolicy,
-            I: IntoIterator<Item = Result<TraceColumns, E>>,
-            F: FnMut(usize, &Request, AccessKind, u64, u64),
-        {
-            let mut i = 0usize;
-            for chunk in chunks {
-                let chunk = chunk?;
-                for j in 0..chunk.len() {
-                    let req = chunk.get(j);
-                    let outcome = policy.on_request(&req);
-                    observe(i, &req, outcome, policy.used_bytes(), policy.capacity());
-                    i += 1;
-                }
-            }
-            Ok(())
-        }
-        dispatch_policy!(self, capacity, ctx, go(chunks, observe))
-    }
-
-    /// [`PolicyKind::run_with_observer`] through the software-pipelined
-    /// loop at a fixed lookahead. Exists so the batched-identity suite can
-    /// compare outcome streams against the straight loop for every policy
-    /// — hints must never change behaviour.
-    pub fn run_with_observer_batched<F>(
-        self,
-        capacity: u64,
-        trace: &[Request],
-        ctx: &TraceCtx,
-        lookahead: usize,
-        observe: F,
-    ) where
-        F: FnMut(usize, &Request, AccessKind, u64, u64),
-    {
-        fn go<P: CachePolicy, F: FnMut(usize, &Request, AccessKind, u64, u64)>(
-            mut policy: P,
-            trace: &[Request],
-            lookahead: usize,
-            mut observe: F,
-        ) {
-            let lookahead = lookahead.min(MAX_PREFETCH_DIST);
-            let source = trace;
-            if lookahead > 0 {
-                prime_window(&policy, &source, 0, lookahead);
-            }
-            for (i, req) in trace.iter().enumerate() {
-                if lookahead > 0 {
-                    let ahead = i + lookahead;
-                    if ahead < RequestSource::len(&source) {
-                        policy.prefetch_hint(RequestSource::id(&source, ahead));
-                    }
-                }
-                let outcome = policy.on_request(req);
-                observe(i, req, outcome, policy.used_bytes(), policy.capacity());
-            }
-        }
-        dispatch_policy!(self, capacity, ctx, go(trace, lookahead, observe))
+        let total_hint = ctx.requests as usize;
+        dispatch_policy!(
+            self,
+            capacity,
+            ctx,
+            replay_chunks(
+                self.label(),
+                chunks,
+                total_hint,
+                mode,
+                |i, req, outcome, p| observe(i, req, outcome, p.used_bytes(), p.capacity())
+            )
+        )
     }
 }
 
@@ -608,10 +514,10 @@ impl BatchMode {
 }
 
 /// Anything the replay loop can stream requests out of by index — the
-/// interleaved `&[Request]` layout and the structure-of-arrays
-/// [`TraceColumns`] both qualify. Indexed access (rather than an
-/// iterator) is what lets the pipelined loop peek at the id of request
-/// `i + K` without buffering `K` pending requests in a ring.
+/// interleaved `[Request]` layout and the structure-of-arrays
+/// [`TraceColumns`] both qualify, owned or borrowed. Indexed access
+/// (rather than an iterator) is what lets the pipelined loop peek at the
+/// id of request `i + K` without buffering `K` pending requests in a ring.
 pub trait RequestSource {
     /// Requests available.
     fn len(&self) -> usize;
@@ -626,10 +532,10 @@ pub trait RequestSource {
     fn id(&self, i: usize) -> ObjectId;
 }
 
-impl RequestSource for &[Request] {
+impl RequestSource for [Request] {
     #[inline]
     fn len(&self) -> usize {
-        (**self).len()
+        <[Request]>::len(self)
     }
     #[inline]
     fn get(&self, i: usize) -> Request {
@@ -641,7 +547,22 @@ impl RequestSource for &[Request] {
     }
 }
 
-impl RequestSource for &TraceColumns {
+impl RequestSource for TraceColumns {
+    #[inline]
+    fn len(&self) -> usize {
+        TraceColumns::len(self)
+    }
+    #[inline]
+    fn get(&self, i: usize) -> Request {
+        TraceColumns::get(self, i)
+    }
+    #[inline]
+    fn id(&self, i: usize) -> ObjectId {
+        self.ids[i]
+    }
+}
+
+impl<T: RequestSource + ?Sized> RequestSource for &T {
     #[inline]
     fn len(&self) -> usize {
         (**self).len()
@@ -652,173 +573,149 @@ impl RequestSource for &TraceColumns {
     }
     #[inline]
     fn id(&self, i: usize) -> ObjectId {
-        self.ids[i]
+        (**self).id(i)
     }
 }
 
-/// The instrumented replay loop behind every measurement: generic over
-/// the policy so concrete callers monomorphize, while `Box<dyn
-/// CachePolicy>` (via [`run_policy_dyn`]) keeps the virtual-dispatch
-/// reference path on the exact same loop.
-///
-/// Software pipelining: with lookahead `K`, the loop primes the first
-/// window with one [`CachePolicy::prefetch_batch`] call, then sustains a
-/// constant distance — hint `i + K`, process `i` — by direct indexing
-/// into the source (no pending ring, no per-request queue traffic).
-/// Ordering and outcomes are identical to the straight loop; only
-/// memory-system timing changes. Under [`BatchMode::Auto`] the loop
-/// starts straight-line and engages the pipeline at the first metadata
-/// sample whose footprint exceeds the LLC.
-fn instrumented_replay<P, S>(
-    mut policy: P,
-    label: &str,
-    source: S,
+/// Ledger and pipelining state one replay threads through its spans.
+struct ReplayState {
     mode: BatchMode,
-) -> RunMeasurement
-where
-    P: CachePolicy,
-    S: RequestSource,
-{
-    let n = source.len();
-    let mut m = cdn_cache::MissRatio::new();
-    let mut peak_mem = 0usize;
-    // Sample memory every ~1k requests: memory_bytes() walks structures.
-    let mem_stride = (n / 512).max(1);
-    let llc = cdn_cache::llc_bytes();
-    let mut lookahead = mode.initial_lookahead();
-    let start = Instant::now();
-    replay_span(
-        &mut policy,
-        &source,
-        0,
-        mem_stride,
-        llc,
-        mode,
-        &mut lookahead,
-        &mut m,
-        &mut peak_mem,
-    );
-    let elapsed = start.elapsed();
-    finish_measurement(&policy, label, n, &m, peak_mem, elapsed)
+    llc: usize,
+    /// Sample the metadata footprint every `mem_stride` requests:
+    /// `memory_bytes()` walks structures.
+    mem_stride: usize,
+    lookahead: usize,
+    /// Requests replayed so far (the global index of the next span's
+    /// first request).
+    base: usize,
+    m: cdn_cache::MissRatio,
+    peak_mem: usize,
 }
 
-/// Replay a chunk stream through one freshly built policy, threading the
-/// ledger and pipelining state across chunks so the replay is
-/// indistinguishable from an in-RAM replay of the concatenated trace —
-/// the inner loop is the exact [`replay_span`] the in-RAM path runs, so
-/// streamed ledgers are u64-identical and throughput stays within the
-/// hot-loop envelope. Only `STREAM_SLOTS + 1` chunks of trace ever exist
-/// at once; policy state is the sole length-dependent allocation.
-///
-/// `total_hint` (the stream's header count) sizes the memory-sampling
-/// stride; it is advisory only — a lying header changes sampling
-/// granularity, never outcomes, and the measurement reports the requests
-/// actually replayed.
-fn instrumented_replay_stream<P, I, E>(
+/// The replay driver behind every entry point: feed each span of `chunks`
+/// through [`replay_span`] with one policy instance and one ledger, then
+/// fold the result into a [`RunMeasurement`]. An in-RAM replay is a
+/// one-span stream. `total_hint` sizes the memory-sampling stride (the
+/// trace length in RAM, the stream's header count out of core); it is
+/// advisory only — a lying header changes sampling granularity, never
+/// outcomes, and the measurement reports the requests actually replayed.
+fn replay_chunks<P, S, I, E, O>(
     mut policy: P,
     label: &str,
     chunks: I,
     total_hint: usize,
     mode: BatchMode,
+    mut observe: O,
 ) -> Result<RunMeasurement, E>
 where
     P: CachePolicy,
-    I: IntoIterator<Item = Result<TraceColumns, E>>,
+    S: RequestSource,
+    I: IntoIterator<Item = Result<S, E>>,
+    O: FnMut(usize, &Request, AccessKind, &P),
 {
-    let mut m = cdn_cache::MissRatio::new();
-    let mut peak_mem = 0usize;
-    let mem_stride = (total_hint / 512).max(1);
-    let llc = cdn_cache::llc_bytes();
-    let mut lookahead = mode.initial_lookahead();
-    let mut base = 0usize;
+    let mut st = ReplayState {
+        mode,
+        llc: cdn_cache::llc_bytes(),
+        mem_stride: (total_hint / 512).max(1),
+        lookahead: mode.initial_lookahead(),
+        base: 0,
+        m: cdn_cache::MissRatio::new(),
+        peak_mem: 0,
+    };
     let start = Instant::now();
     for chunk in chunks {
-        let chunk = chunk?;
-        replay_span(
-            &mut policy,
-            &&chunk,
-            base,
-            mem_stride,
-            llc,
-            mode,
-            &mut lookahead,
-            &mut m,
-            &mut peak_mem,
-        );
-        base += chunk.len();
+        replay_span(&mut policy, &chunk?, &mut st, &mut observe);
     }
     let elapsed = start.elapsed();
-    Ok(finish_measurement(
-        &policy, label, base, &m, peak_mem, elapsed,
-    ))
+    Ok(finish_measurement(&policy, label, &st, elapsed))
 }
 
-/// The shared per-span hot loop: replay every request of `source` through
-/// `policy`, recording hits/misses into `m`, sampling metadata footprint
-/// into `peak_mem` on the global (`base`-offset) stride, and sustaining /
-/// engaging the software pipeline via `lookahead`. In-RAM replays run one
-/// span covering the whole trace; streamed replays run one span per chunk
-/// with all mutable state threaded through, so both paths execute the
-/// same monomorphized instructions per request.
-///
-/// The lookahead window never crosses a span boundary (the last
-/// `lookahead` requests of a chunk go unhinted, and a pipelined span
-/// re-primes its opening window): hints are advisory and proven
-/// outcome-neutral, so ledgers are unaffected.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn replay_span<P: CachePolicy, S: RequestSource>(
-    policy: &mut P,
-    source: &S,
-    base: usize,
-    mem_stride: usize,
-    llc: usize,
+/// Measured in-RAM replay: a one-span stream with no observer, sampling
+/// on the trace-length stride.
+fn replay_in_ram<P: CachePolicy, S: RequestSource>(
+    policy: P,
+    label: &str,
+    trace: S,
     mode: BatchMode,
-    lookahead: &mut usize,
-    m: &mut cdn_cache::MissRatio,
-    peak_mem: &mut usize,
-) {
+) -> RunMeasurement {
+    let n = trace.len();
+    let Ok(m) = replay_chunks(
+        policy,
+        label,
+        [Ok::<_, Infallible>(trace)],
+        n,
+        mode,
+        |_, _, _, _| {},
+    );
+    m
+}
+
+/// The one per-request loop: replay every request of `source` through
+/// `policy`, recording hits/misses, handing each outcome and the policy
+/// to `observe`, sampling the metadata footprint on the global
+/// (`st.base`-offset) stride, and sustaining / engaging the software
+/// pipeline. Measured replays pass a no-op `observe`, which compiles
+/// away; observed ones read what they need off `&P`.
+///
+/// Software pipelining: with lookahead `K`, the span primes its first
+/// window with one [`CachePolicy::prefetch_batch`] call, then sustains a
+/// constant distance — hint `i + K`, process `i` — by direct indexing
+/// into the source (no pending ring, no per-request queue traffic).
+/// Under [`BatchMode::Auto`] the loop starts straight-line and engages
+/// the pipeline at the first metadata sample whose footprint exceeds the
+/// LLC. The lookahead window never crosses a span boundary (the last
+/// `K` requests of a chunk go unhinted): hints are advisory and proven
+/// outcome-neutral, so ledgers are unaffected.
+#[inline]
+fn replay_span<P, S, O>(policy: &mut P, source: &S, st: &mut ReplayState, observe: &mut O)
+where
+    P: CachePolicy,
+    S: RequestSource,
+    O: FnMut(usize, &Request, AccessKind, &P),
+{
     let n = source.len();
-    if *lookahead > 0 {
-        prime_window(policy, source, 0, *lookahead);
+    if st.lookahead > 0 {
+        prime_window(policy, source, 0, st.lookahead);
     }
     for i in 0..n {
-        if *lookahead > 0 {
-            let ahead = i + *lookahead;
+        if st.lookahead > 0 {
+            let ahead = i + st.lookahead;
             if ahead < n {
                 policy.prefetch_hint(source.id(ahead));
             }
         }
         let r = source.get(i);
-        if policy.on_request(&r).is_hit() {
-            m.record_hit(r.size);
+        let outcome = policy.on_request(&r);
+        if outcome.is_hit() {
+            st.m.record_hit(r.size);
         } else {
-            m.record_miss(r.size);
+            st.m.record_miss(r.size);
         }
-        if (base + i).is_multiple_of(mem_stride) {
+        observe(st.base + i, &r, outcome, policy);
+        if (st.base + i).is_multiple_of(st.mem_stride) {
             let mem = policy.memory_bytes();
-            *peak_mem = (*peak_mem).max(mem);
-            if mode == BatchMode::Auto && *lookahead == 0 && mem > llc {
+            st.peak_mem = st.peak_mem.max(mem);
+            if st.mode == BatchMode::Auto && st.lookahead == 0 && mem > st.llc {
                 // Index footprint has outgrown the LLC: probes now miss to
                 // DRAM, so overlapping them starts paying. Engage the
                 // pipeline and prime the window at the current position.
-                *lookahead = AUTO_PREFETCH_DIST;
-                prime_window(policy, source, i + 1, *lookahead);
+                st.lookahead = AUTO_PREFETCH_DIST;
+                prime_window(policy, source, i + 1, st.lookahead);
             }
         }
     }
+    st.base += n;
 }
 
 /// Fold the final policy state and ledger into a [`RunMeasurement`].
 fn finish_measurement<P: CachePolicy>(
     policy: &P,
     label: &str,
-    n: usize,
-    m: &cdn_cache::MissRatio,
-    peak_mem: usize,
+    st: &ReplayState,
     elapsed: std::time::Duration,
 ) -> RunMeasurement {
-    let peak_mem = peak_mem.max(policy.memory_bytes());
+    let n = st.base;
+    let m = &st.m;
     let secs = elapsed.as_secs_f64().max(1e-9);
     RunMeasurement {
         policy: label.to_string(),
@@ -826,7 +723,7 @@ fn finish_measurement<P: CachePolicy>(
         byte_miss_ratio: m.byte_miss_ratio(),
         tps: n as f64 / secs,
         ns_per_request: elapsed.as_nanos() as f64 / n.max(1) as f64,
-        peak_memory_bytes: peak_mem,
+        peak_memory_bytes: st.peak_mem.max(policy.memory_bytes()),
         resident_objects: policy.stats().resident_objects,
         hits: m.hits(),
         misses: m.misses(),
@@ -850,31 +747,19 @@ fn prime_window<P: CachePolicy, S: RequestSource>(
 }
 
 /// Replay `trace` through a freshly built `kind`, measuring quality and
-/// resource proxies. Statically dispatched (see
-/// [`PolicyKind::run_monomorphized`]).
+/// resource proxies. Statically dispatched; pipelining follows
+/// [`BatchMode::from_env`].
 pub fn run_policy(
     kind: PolicyKind,
     capacity: u64,
     trace: &[Request],
     ctx: &TraceCtx,
 ) -> RunMeasurement {
-    kind.run_monomorphized(capacity, trace, ctx)
-}
-
-/// [`run_policy`] forced through `Box<dyn CachePolicy>`: the per-request
-/// virtual-dispatch reference the throughput harness compares the
-/// monomorphized path against.
-pub fn run_policy_dyn(
-    kind: PolicyKind,
-    capacity: u64,
-    trace: &[Request],
-    ctx: &TraceCtx,
-) -> RunMeasurement {
-    instrumented_replay(
-        kind.build(capacity, ctx),
-        kind.label(),
-        trace,
-        BatchMode::from_env(),
+    dispatch_policy!(
+        kind,
+        capacity,
+        ctx,
+        replay_in_ram(kind.label(), trace, BatchMode::from_env())
     )
 }
 
@@ -894,19 +779,37 @@ mod tests {
     }
 
     #[test]
-    fn run_with_observer_sees_every_request() {
+    fn replay_observed_sees_every_request() {
         let reqs: Vec<(u64, u64)> = (0..500).map(|i| (i * 3 % 40, 1 + i % 9)).collect();
         let trace = micro_trace(&reqs);
         let ctx = TraceCtx::new(&trace, 3);
         let mut seen = 0usize;
-        PolicyKind::Lru.run_with_observer(100, &trace, &ctx, |i, req, outcome, used, cap| {
-            assert_eq!(i, seen);
-            assert_eq!(req.id, trace[seen].id);
-            assert!(used <= cap, "occupancy over capacity");
-            assert!(outcome.is_hit() || !outcome.is_hit()); // exhaustive enum read
-            seen += 1;
-        });
+        let Ok(_) = PolicyKind::Lru.replay_observed(
+            100,
+            [Ok::<_, Infallible>(&trace[..])],
+            &ctx,
+            BatchMode::Off,
+            |i, req, outcome, used, cap| {
+                assert_eq!(i, seen);
+                assert_eq!(req.id, trace[seen].id);
+                assert!(used <= cap, "occupancy over capacity");
+                assert!(outcome.is_hit() || !outcome.is_hit()); // exhaustive enum read
+                seen += 1;
+            },
+        );
         assert_eq!(seen, trace.len());
+    }
+
+    #[test]
+    fn from_label_round_trips_every_kind() {
+        for kind in PolicyKind::ALL {
+            let label = kind.label();
+            assert_eq!(PolicyKind::from_label(label), Some(kind));
+            assert_eq!(PolicyKind::from_label(&label.to_lowercase()), Some(kind));
+            assert_eq!(PolicyKind::from_label(&label.to_uppercase()), Some(kind));
+        }
+        assert_eq!(PolicyKind::from_label("not-a-policy"), None);
+        assert_eq!(PolicyKind::from_label(""), None);
     }
 
     #[test]
@@ -940,12 +843,12 @@ mod tests {
             PolicyKind::Scip,
         ] {
             let mono = run_policy(kind, 900, &trace, &ctx);
-            let dynamic = run_policy_dyn(kind, 900, &trace, &ctx);
-            let columns = kind.run_monomorphized_columns(900, &cols, &ctx);
-            for other in [&dynamic, &columns] {
-                assert_eq!(mono.miss_ratio, other.miss_ratio, "{kind:?}");
-                assert_eq!(mono.byte_miss_ratio, other.byte_miss_ratio, "{kind:?}");
-            }
+            let dynamic = cdn_policies::replay(kind.build(900, &ctx).as_mut(), &trace);
+            let columns = kind.replay_batched(900, &cols, &ctx, BatchMode::from_env());
+            assert_eq!(mono.miss_ratio, dynamic.miss_ratio(), "{kind:?}");
+            assert_eq!(mono.byte_miss_ratio, dynamic.byte_miss_ratio(), "{kind:?}");
+            assert_eq!(mono.miss_ratio, columns.miss_ratio, "{kind:?}");
+            assert_eq!(mono.byte_miss_ratio, columns.byte_miss_ratio, "{kind:?}");
         }
     }
 

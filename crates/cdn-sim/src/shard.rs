@@ -106,6 +106,14 @@ impl ShardedRunReport {
     }
 }
 
+/// One localized shard: its columns and replay context.
+type Shard = (TraceColumns, TraceCtx);
+
+/// Runs `replay` once per shard and returns the per-shard measurements
+/// plus the wall seconds of its replay region.
+type Executor =
+    fn(&[Shard], &(dyn Fn(&Shard) -> RunMeasurement + Sync)) -> (Vec<RunMeasurement>, f64);
+
 /// Shard columns re-ticked to local positions `0..len`, plus their replay
 /// contexts — both built outside the timed region (preprocessing, not
 /// replay).
@@ -117,7 +125,7 @@ impl ShardedRunReport {
 /// within each shard, so relative request order — the thing cache
 /// outcomes depend on — is untouched, and both the threaded and serial
 /// paths see the identical localized stream.
-fn localized_shards(sharded: &ShardedTrace, seed: u64) -> Vec<(TraceColumns, TraceCtx)> {
+fn localized_shards(sharded: &ShardedTrace, seed: u64) -> Vec<Shard> {
     sharded
         .shards
         .iter()
@@ -133,16 +141,6 @@ fn localized_shards(sharded: &ShardedTrace, seed: u64) -> Vec<(TraceColumns, Tra
         .collect()
 }
 
-fn replay_one(
-    kind: PolicyKind,
-    per_shard_capacity: u64,
-    cols: &TraceColumns,
-    ctx: &TraceCtx,
-    mode: BatchMode,
-) -> RunMeasurement {
-    kind.replay_batched(per_shard_capacity, cols, ctx, mode)
-}
-
 fn merge(per_shard: Vec<RunMeasurement>, wall_secs: f64) -> ShardedRunReport {
     let mut aggregate = AggregateMeasurement::default();
     for m in &per_shard {
@@ -153,6 +151,26 @@ fn merge(per_shard: Vec<RunMeasurement>, wall_secs: f64) -> ShardedRunReport {
         aggregate,
         wall_secs,
     }
+}
+
+/// The shared prepare-and-merge path of [`run_sharded`] and
+/// [`run_sharded_serial`]: localize the partition, split the capacity,
+/// let `execute` replay every shard and merge the ledgers.
+fn replay_partition(
+    kind: PolicyKind,
+    total_capacity: u64,
+    sharded: &ShardedTrace,
+    seed: u64,
+    mode: BatchMode,
+    execute: Executor,
+) -> ShardedRunReport {
+    let n = sharded.shard_count();
+    assert!(n > 0, "sharded replay: no shards");
+    let per_shard_capacity = (total_capacity / n as u64).max(1);
+    let prepared = localized_shards(sharded, seed);
+    let replay = |(cols, ctx): &Shard| kind.replay_batched(per_shard_capacity, cols, ctx, mode);
+    let (per_shard, wall_secs) = execute(&prepared, &replay);
+    merge(per_shard, wall_secs)
 }
 
 /// Replay every shard on its own dedicated thread (one thread per shard,
@@ -169,24 +187,27 @@ pub fn run_sharded(
     seed: u64,
     mode: BatchMode,
 ) -> ShardedRunReport {
-    let n = sharded.shard_count();
-    assert!(n > 0, "run_sharded: no shards");
-    let per_shard_capacity = (total_capacity / n as u64).max(1);
-    let prepared = localized_shards(sharded, seed);
-    let start = Instant::now();
-    let per_shard: Vec<RunMeasurement> = std::thread::scope(|s| {
-        let handles: Vec<_> = prepared
-            .iter()
-            .map(|(cols, ctx)| {
-                s.spawn(move || replay_one(kind, per_shard_capacity, cols, ctx, mode))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard replay thread panicked"))
-            .collect()
-    });
-    merge(per_shard, start.elapsed().as_secs_f64())
+    replay_partition(
+        kind,
+        total_capacity,
+        sharded,
+        seed,
+        mode,
+        |prepared, replay| {
+            let start = Instant::now();
+            let per_shard = std::thread::scope(|s| {
+                let handles: Vec<_> = prepared
+                    .iter()
+                    .map(|shard| s.spawn(move || replay(shard)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("shard replay thread panicked"))
+                    .collect()
+            });
+            (per_shard, start.elapsed().as_secs_f64())
+        },
+    )
 }
 
 /// The reference decomposition: replay each partition serially on the
@@ -200,21 +221,26 @@ pub fn run_sharded_serial(
     seed: u64,
     mode: BatchMode,
 ) -> ShardedRunReport {
-    let n = sharded.shard_count();
-    assert!(n > 0, "run_sharded_serial: no shards");
-    let per_shard_capacity = (total_capacity / n as u64).max(1);
-    let prepared = localized_shards(sharded, seed);
-    let mut wall = 0f64;
-    let per_shard: Vec<RunMeasurement> = prepared
-        .iter()
-        .map(|(cols, ctx)| {
-            let start = Instant::now();
-            let m = replay_one(kind, per_shard_capacity, cols, ctx, mode);
-            wall += start.elapsed().as_secs_f64();
-            m
-        })
-        .collect();
-    merge(per_shard, wall)
+    replay_partition(
+        kind,
+        total_capacity,
+        sharded,
+        seed,
+        mode,
+        |prepared, replay| {
+            let mut wall = 0f64;
+            let per_shard = prepared
+                .iter()
+                .map(|shard| {
+                    let start = Instant::now();
+                    let m = replay(shard);
+                    wall += start.elapsed().as_secs_f64();
+                    m
+                })
+                .collect();
+            (per_shard, wall)
+        },
+    )
 }
 
 /// Sharded replay over a chunk stream: the trace never exists whole.
@@ -307,61 +333,6 @@ where
     }
 }
 
-/// Serial reference for [`run_sharded_stream`]: consume the stream once,
-/// buffering each shard's mini-chunk sequence (boundaries preserved),
-/// then replay the shards one after another on the calling thread through
-/// the identical chunked loop. Because each shard sees the same
-/// mini-chunks at the same global offsets with the same context, every
-/// per-shard measurement is bit-identical to the threaded run's — this is
-/// the proof harness (it buffers the whole partition in RAM; the
-/// out-of-core path is [`run_sharded_stream`]).
-///
-/// # Panics
-/// If `ctxs` is empty.
-pub fn run_sharded_stream_serial<I, E>(
-    kind: PolicyKind,
-    total_capacity: u64,
-    chunks: I,
-    ctxs: &[TraceCtx],
-    mode: BatchMode,
-) -> Result<ShardedRunReport, E>
-where
-    I: IntoIterator<Item = Result<TraceColumns, E>>,
-{
-    let n = ctxs.len();
-    assert!(n > 0, "run_sharded_stream_serial: no shards");
-    let per_shard_capacity = (total_capacity / n as u64).max(1);
-    let mut part = ChunkPartitioner::new(n);
-    let mut queued: Vec<Vec<TraceColumns>> = vec![Vec::new(); n];
-    for chunk in chunks {
-        let chunk = chunk?;
-        for (shard, mini) in part.split(&chunk).into_iter().enumerate() {
-            if !mini.is_empty() {
-                queued[shard].push(mini);
-            }
-        }
-    }
-    let mut wall = 0f64;
-    let per_shard: Vec<RunMeasurement> = queued
-        .into_iter()
-        .zip(ctxs)
-        .map(|(minis, ctx)| {
-            let start = Instant::now();
-            let m = kind
-                .replay_stream(
-                    per_shard_capacity,
-                    minis.into_iter().map(Ok::<_, Infallible>),
-                    ctx,
-                    mode,
-                )
-                .unwrap_or_else(|e| match e {});
-            wall += start.elapsed().as_secs_f64();
-            m
-        })
-        .collect();
-    Ok(merge(per_shard, wall))
-}
-
 /// One shard outage for the routed reference replay, expressed as global
 /// indices into the request stream so the decision boundary is exact.
 ///
@@ -449,22 +420,13 @@ pub fn run_routed_serial(
     // the same contexts the daemon's policy factory uses for first starts
     // and restarts alike.
     let sharded = partition_columns(&TraceColumns::from_requests(requests), shards);
-    let ctxs: Vec<(Vec<Request>, TraceCtx)> = sharded
-        .shards
-        .iter()
-        .map(|cols| {
-            let mut local = cols.clone();
-            for (i, t) in local.ticks.iter_mut().enumerate() {
-                *t = i as u64;
-            }
-            let reqs = local.to_requests();
-            let ctx = TraceCtx::new(&reqs, seed);
-            (reqs, ctx)
-        })
+    let ctxs: Vec<TraceCtx> = localized_shards(&sharded, seed)
+        .into_iter()
+        .map(|(_, ctx)| ctx)
         .collect();
     let mut policies: Vec<_> = ctxs
         .iter()
-        .map(|(_, ctx)| Some(kind.build(per_shard_capacity, ctx)))
+        .map(|ctx| Some(kind.build(per_shard_capacity, ctx)))
         .collect();
     let mut ledgers = vec![RoutedShardLedger::default(); shards];
     let mut ticks = vec![0u64; shards];
@@ -488,7 +450,7 @@ pub fn run_routed_serial(
         // tick counter continuing (the daemon's restart semantics).
         for w in windows {
             if w.end_index <= i && policies[w.shard].is_none() && !down(w.shard) {
-                policies[w.shard] = Some(kind.build(per_shard_capacity, &ctxs[w.shard].1));
+                policies[w.shard] = Some(kind.build(per_shard_capacity, &ctxs[w.shard]));
             }
         }
         let primary = key_shard(req.id.0, shards);
@@ -706,6 +668,47 @@ mod tests {
         }
     }
 
+    /// Serial reference for [`run_sharded_stream`]: consume the stream
+    /// once, buffering each shard's mini-chunk sequence (boundaries
+    /// preserved), then replay the shards one after another on the
+    /// calling thread through the identical chunked loop. Each shard sees
+    /// the same mini-chunks at the same global offsets with the same
+    /// context, so every per-shard measurement must be bit-identical to
+    /// the threaded run's.
+    fn run_sharded_stream_serial(
+        kind: PolicyKind,
+        total_capacity: u64,
+        chunks: Vec<TraceColumns>,
+        ctxs: &[TraceCtx],
+        mode: BatchMode,
+    ) -> ShardedRunReport {
+        let n = ctxs.len();
+        let per_shard_capacity = (total_capacity / n as u64).max(1);
+        let mut part = ChunkPartitioner::new(n);
+        let mut queued: Vec<Vec<TraceColumns>> = vec![Vec::new(); n];
+        for chunk in &chunks {
+            for (shard, mini) in part.split(chunk).into_iter().enumerate() {
+                if !mini.is_empty() {
+                    queued[shard].push(mini);
+                }
+            }
+        }
+        let per_shard: Vec<RunMeasurement> = queued
+            .into_iter()
+            .zip(ctxs)
+            .map(|(minis, ctx)| {
+                kind.replay_stream(
+                    per_shard_capacity,
+                    minis.into_iter().map(Ok::<_, Infallible>),
+                    ctx,
+                    mode,
+                )
+                .unwrap_or_else(|e| match e {})
+            })
+            .collect();
+        merge(per_shard, 0.0)
+    }
+
     #[test]
     fn streamed_serial_reference_matches_threaded_stream() {
         let reqs: Vec<(u64, u64)> = (0..15_000u64).map(|i| (i * 17 % 500, 1 + i % 30)).collect();
@@ -724,11 +727,10 @@ mod tests {
         let serial = run_sharded_stream_serial(
             PolicyKind::Scip,
             4_000,
-            chunked(&cols, 1_024).into_iter().map(Ok::<_, &'static str>),
+            chunked(&cols, 1_024),
             &ctxs,
             BatchMode::Off,
-        )
-        .unwrap();
+        );
         assert_eq!(threaded.aggregate, serial.aggregate);
         for (t, s) in threaded.per_shard.iter().zip(&serial.per_shard) {
             assert_eq!(
@@ -766,7 +768,8 @@ mod tests {
         let report = run_sharded(PolicyKind::Lru, 4_000, &sharded, 7, BatchMode::Off);
         let trace = sharded.shards[0].to_requests();
         let ctx = TraceCtx::new(&trace, 7);
-        let plain = PolicyKind::Lru.run_monomorphized_columns(4_000, &sharded.shards[0], &ctx);
+        let plain =
+            PolicyKind::Lru.replay_batched(4_000, &sharded.shards[0], &ctx, BatchMode::from_env());
         assert_eq!(report.aggregate.hits, plain.hits);
         assert_eq!(report.aggregate.misses, plain.misses);
         assert_eq!(report.aggregate.hit_bytes, plain.hit_bytes);

@@ -5,18 +5,17 @@
 //! own pre-sized slot, so neither the work-distribution nor the
 //! completion path takes a lock. Results come back in input order.
 //!
-//! Two entry points share that machinery:
+//! Two entry points share that one executor:
 //!
-//! - [`parallel_runs`] — the historical strict API: a panicking job
-//!   aborts the whole sweep (propagated when the scope joins its
-//!   workers). Use for small grids where partial results are useless.
 //! - [`run_jobs`] — fault-tolerant: each attempt runs under
 //!   `catch_unwind`, panics are converted to [`JobOutcome::Panicked`]
 //!   after a bounded number of retries ([`SweepConfig::max_attempts`],
 //!   with linear backoff), and the sweep always completes, reporting
-//!   exactly which cells failed. `SweepConfig::strict` restores the
-//!   abort-on-first-failure semantics for callers that want the old
-//!   behaviour with the new retry layer.
+//!   exactly which cells failed. `SweepConfig::strict` re-panics after
+//!   the sweep if any cell failed.
+//! - [`parallel_runs`] — the strict API over plain `FnOnce` jobs:
+//!   [`run_jobs`] under [`SweepConfig::strict`], returning bare values.
+//!   Use for small grids where partial results are useless.
 //!
 //! Worker count: `available_parallelism`, overridable with the
 //! `CDN_SIM_THREADS` environment variable (clamped to ≥ 1); the
@@ -66,41 +65,31 @@ struct Slot<F, T> {
 unsafe impl<F: Send, T: Send> Sync for Slot<F, T> {}
 
 /// Run `jobs` closures on worker threads (see [`worker_count`]) and
-/// collect results in input order. Panics in a job abort the sweep —
-/// prefer [`run_jobs`] for long grids where losing completed work to one
-/// bad cell is unacceptable.
+/// collect results in input order: [`run_jobs`] under
+/// [`SweepConfig::strict`], so every job runs and a panic in any of them
+/// then aborts the sweep — prefer [`run_jobs`] directly for long grids
+/// where losing completed work to one bad cell is unacceptable.
 pub fn parallel_runs<T, F>(jobs: Vec<F>) -> Vec<T>
 where
     T: Send,
     F: FnOnce() -> T + Send,
 {
-    let n_workers = worker_count(jobs.len());
-    let slots: Vec<Slot<F, T>> = jobs
+    // Strict mode makes one attempt per job, so each `FnOnce` is taken
+    // exactly once.
+    let jobs: Vec<_> = jobs
         .into_iter()
-        .map(|f| Slot {
-            job: UnsafeCell::new(Some(f)),
-            result: UnsafeCell::new(None),
+        .map(|f| {
+            let mut f = Some(f);
+            move || f.take().expect("strict sweep runs each job once")()
         })
         .collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..n_workers {
-            s.spawn(|| loop {
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                if idx >= slots.len() {
-                    break;
-                }
-                let slot = &slots[idx];
-                // Safety: `idx` was claimed exactly once (see Slot).
-                let f = unsafe { (*slot.job.get()).take() }.expect("slot claimed twice");
-                let out = f();
-                unsafe { *slot.result.get() = Some(out) };
-            });
-        }
-    });
-    slots
+    run_jobs(jobs, &SweepConfig::strict())
+        .outcomes
         .into_iter()
-        .map(|s| s.result.into_inner().expect("every job ran"))
+        .map(|o| {
+            o.into_value()
+                .expect("strict sweep returns only on success")
+        })
         .collect()
 }
 

@@ -7,9 +7,11 @@
 //! if a policy ever lets `prefetch_hint`/`prefetch_batch` mutate state,
 //! this fails with the first diverging request index.
 
+use std::convert::Infallible;
+
 use cdn_cache::hash::mix64;
 use cdn_cache::AccessKind;
-use cdn_sim::{PolicyKind, TraceCtx, AUTO_PREFETCH_DIST};
+use cdn_sim::{BatchMode, PolicyKind, TraceCtx, AUTO_PREFETCH_DIST};
 use cdn_trace::degenerate_corpus;
 
 /// Same capacity + seed as `golden_outcomes` and `model_check`.
@@ -38,16 +40,22 @@ fn pipelined_loop_is_bit_identical_to_straight_loop() {
         let ctx = TraceCtx::new(&trace, SEED);
         for kind in PolicyKind::ALL {
             let mut plain: u64 = 0x9E37_79B9_7F4A_7C15;
-            kind.run_with_observer(CAPACITY, &trace, &ctx, |i, _req, outcome, used, _cap| {
-                fold(&mut plain, i, outcome, used);
-            });
+            let Ok(_) = kind.replay_observed(
+                CAPACITY,
+                [Ok::<_, Infallible>(&trace[..])],
+                &ctx,
+                BatchMode::Off,
+                |i, _req, outcome, used, _cap| {
+                    fold(&mut plain, i, outcome, used);
+                },
+            );
             for depth in [1usize, AUTO_PREFETCH_DIST, 64] {
                 let mut batched: u64 = 0x9E37_79B9_7F4A_7C15;
-                kind.run_with_observer_batched(
+                let Ok(_) = kind.replay_observed(
                     CAPACITY,
-                    &trace,
+                    [Ok::<_, Infallible>(&trace[..])],
                     &ctx,
-                    depth,
+                    BatchMode::Fixed(depth),
                     |i, _req, outcome, used, _cap| {
                         fold(&mut batched, i, outcome, used);
                     },

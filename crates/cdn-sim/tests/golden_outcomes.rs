@@ -16,12 +16,13 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use cdn_cache::hash::mix64;
 use cdn_cache::AccessKind;
-use cdn_sim::{PolicyKind, TraceCtx};
+use cdn_sim::{BatchMode, PolicyKind, TraceCtx};
 use cdn_trace::degenerate_corpus;
 
 /// Same capacity + seed as `model_check::all_policies_survive_degenerate_corpus`.
@@ -42,9 +43,15 @@ fn outcome_code(outcome: AccessKind) -> u64 {
 /// outcomes is identical.
 fn stream_digest(kind: PolicyKind, trace: &[cdn_cache::Request], ctx: &TraceCtx) -> u64 {
     let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
-    kind.run_with_observer(CAPACITY, trace, ctx, |i, _req, outcome, _used, _cap| {
-        h = mix64(h ^ mix64((i as u64) << 2 | outcome_code(outcome)));
-    });
+    let Ok(_) = kind.replay_observed(
+        CAPACITY,
+        [Ok::<_, Infallible>(trace)],
+        ctx,
+        BatchMode::Off,
+        |i, _req, outcome, _used, _cap| {
+            h = mix64(h ^ mix64((i as u64) << 2 | outcome_code(outcome)));
+        },
+    );
     h
 }
 

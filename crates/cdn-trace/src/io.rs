@@ -749,8 +749,26 @@ mod tests {
     fn v2_detects_any_single_byte_corruption() {
         // Flip one bit of *every* byte of a small v2 file in turn: each
         // variant must surface as some TraceError, never as a clean read
-        // of wrong data. Small trace: the sweep re-reads the file once
-        // per byte.
+        // of wrong data. The variants are decoded in memory through the
+        // same `ChunkIter` collection loop `read_binary` runs; one of
+        // them also makes the round trip through a file and `read_binary`.
+        fn decode(bytes: &[u8]) -> Result<Vec<Request>, TraceError> {
+            let mut it = ChunkIter::new(bytes)?;
+            let mut trace = Vec::new();
+            loop {
+                let n = it.next_chunk_with(|tick, id, size, wall_secs| {
+                    trace.push(Request {
+                        tick,
+                        id: id.into(),
+                        size,
+                        wall_secs,
+                    });
+                })?;
+                if n == 0 {
+                    return Ok(trace);
+                }
+            }
+        }
         let t = TraceGenerator::generate(GeneratorConfig {
             requests: 300,
             core_objects: 100,
@@ -760,11 +778,11 @@ mod tests {
         let path = dir.join("t.bin");
         write_binary(&path, &t).unwrap();
         let pristine = std::fs::read(&path).unwrap();
+        assert_eq!(decode(&pristine).unwrap(), t);
         for i in 0..pristine.len() {
             let mut bytes = pristine.clone();
             bytes[i] ^= 0x10;
-            std::fs::write(&path, &bytes).unwrap();
-            match read_binary(&path) {
+            match decode(&bytes[..]) {
                 Err(_) => {}
                 Ok(back) => panic!(
                     "flip at byte {i}/{} read cleanly ({} records)",
@@ -773,6 +791,10 @@ mod tests {
                 ),
             }
         }
+        let mut bytes = pristine.clone();
+        bytes[pristine.len() / 2] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(read_binary(&path).is_err(), "on-disk flip read cleanly");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -31,11 +31,8 @@ fn env_u64(key: &str, fallback: u64) -> u64 {
 
 fn policy_from_env() -> PolicyKind {
     let name = std::env::var("CDND_POLICY").unwrap_or_else(|_| "SCIP".to_string());
-    match PolicyKind::ALL
-        .iter()
-        .find(|k| k.label().eq_ignore_ascii_case(&name))
-    {
-        Some(&kind) => kind,
+    match PolicyKind::from_label(&name) {
+        Some(kind) => kind,
         None => {
             eprintln!("error: unknown CDND_POLICY `{name}`; known labels:");
             for kind in PolicyKind::ALL {

@@ -16,6 +16,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> perfbench builds against the library crates"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
 echo "==> cargo test"
 cargo test --workspace -q
 
