@@ -45,15 +45,6 @@ impl TraceSource<'static> {
 }
 
 impl TraceSource<'_> {
-    /// Requests this source claims to hold: exact for `Columns`, the
-    /// (untrusted, advisory) header count for `Stream`.
-    pub fn requests_hint(&self) -> u64 {
-        match self {
-            TraceSource::Columns(c) => c.len() as u64,
-            TraceSource::Stream(s) => s.header_count() as u64,
-        }
-    }
-
     /// Replay this source through a freshly built `kind`. The in-RAM arm
     /// is exactly [`PolicyKind::replay_batched`]; the streamed arm is
     /// [`PolicyKind::replay_stream`] and surfaces the first
@@ -179,21 +170,6 @@ mod tests {
                 "{kind:?}"
             );
         }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn requests_hint_matches_header() {
-        let trace = sample_trace();
-        let path = tmpfile("hint.bin");
-        write_binary(&path, &trace).unwrap();
-        let src = TraceSource::open(&path).unwrap();
-        assert_eq!(src.requests_hint(), trace.len() as u64);
-        let cols = TraceColumns::from_requests(&trace);
-        assert_eq!(
-            TraceSource::Columns(&cols).requests_hint(),
-            trace.len() as u64
-        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -559,6 +559,9 @@ fn restore_warm(shared: &ShardShared, policy: &mut ShardPolicy, snap: &SnapshotC
     }
 }
 
+/// `ready` is set on restarts only (see [`restart_worker`]): once warm
+/// restore has returned, the worker publishes `Closed` and signals it. A
+/// factory panic drops it unsignalled, leaving the shard in `Backoff`.
 fn worker_loop(
     shared: Arc<ShardShared>,
     factory: PolicyFactory,
@@ -566,6 +569,7 @@ fn worker_loop(
     batch: usize,
     snap_cfg: Arc<Mutex<SnapshotConfig>>,
     events: Sender<SupEvent>,
+    ready: Option<Sender<()>>,
 ) {
     let built = catch_unwind(AssertUnwindSafe(|| factory(shared.id, per_shard_capacity)));
     let mut policy = match built {
@@ -585,6 +589,13 @@ fn worker_loop(
         restore_warm(&shared, &mut policy, &snap);
     }
     shared.publish_residency(&policy);
+    // Published here, not by the supervisor after the signal, so a crash
+    // on this incarnation's first request can never have its `Backoff`
+    // overwritten by a late `Closed`.
+    if let Some(ready) = ready {
+        shared.set_state(ShardState::Closed);
+        let _ = ready.send(());
+    }
     let mut since_snap: u64 = 0;
     loop {
         if shared.ctl_pending.swap(false, Ordering::AcqRel) {
@@ -702,7 +713,7 @@ struct SupervisorCtx {
     shutting_down: Arc<AtomicBool>,
 }
 
-fn spawn_worker(ctx: &SupervisorCtx, shard: usize) {
+fn spawn_worker(ctx: &SupervisorCtx, shard: usize, ready: Option<Sender<()>>) {
     let shared = Arc::clone(&ctx.shards[shard]);
     let factory = Arc::clone(&ctx.factory);
     let events = ctx.events_tx.clone();
@@ -711,9 +722,22 @@ fn spawn_worker(ctx: &SupervisorCtx, shard: usize) {
     let snap_cfg = Arc::clone(&ctx.snap_cfg);
     let handle = std::thread::Builder::new()
         .name(format!("cdnd-shard-{shard}"))
-        .spawn(move || worker_loop(shared, factory, capacity, batch, snap_cfg, events))
+        .spawn(move || worker_loop(shared, factory, capacity, batch, snap_cfg, events, ready))
         .expect("spawn shard worker");
     *ctx.workers[shard].lock().unwrap() = Some(handle);
+}
+
+/// Respawn a dead shard and block until its worker is serving: the shard
+/// reads `Closed` only after warm restore has bumped `restored_objects`
+/// and `epochs_discarded`, and the supervisor handles no further event
+/// (a second reset cannot spawn a second worker) until then. If the
+/// factory panics, the dropped sender ends the wait with the shard in
+/// `Backoff` and its `Crashed` event queued.
+fn restart_worker(ctx: &SupervisorCtx, shard: usize) {
+    ctx.shards[shard].restarts.fetch_add(1, Ordering::Relaxed);
+    let (ready_tx, ready_rx) = channel();
+    spawn_worker(ctx, shard, Some(ready_tx));
+    let _ = ready_rx.recv();
 }
 
 fn supervisor_loop(ctx: SupervisorCtx, events_rx: std::sync::mpsc::Receiver<SupEvent>) {
@@ -757,9 +781,7 @@ fn supervisor_loop(ctx: SupervisorCtx, events_rx: std::sync::mpsc::Receiver<SupE
                 if ctx.shards[shard].state() != ShardState::Closed
                     && !ctx.shutting_down.load(Ordering::Acquire)
                 {
-                    spawn_worker(&ctx, shard);
-                    ctx.shards[shard].restarts.fetch_add(1, Ordering::Relaxed);
-                    ctx.shards[shard].set_state(ShardState::Closed);
+                    restart_worker(&ctx, shard);
                 }
             }
             Ok(SupEvent::Shutdown) | Err(RecvTimeoutError::Disconnected) => return,
@@ -777,9 +799,7 @@ fn supervisor_loop(ctx: SupervisorCtx, events_rx: std::sync::mpsc::Receiver<SupE
                 continue;
             }
             history[shard].push(now);
-            spawn_worker(&ctx, shard);
-            ctx.shards[shard].restarts.fetch_add(1, Ordering::Relaxed);
-            ctx.shards[shard].set_state(ShardState::Closed);
+            restart_worker(&ctx, shard);
         }
     }
 }
@@ -833,7 +853,7 @@ impl Daemon {
             shutting_down: Arc::clone(&shutting_down),
         };
         for shard in 0..n {
-            spawn_worker(&ctx, shard);
+            spawn_worker(&ctx, shard, None);
         }
         let supervisor = std::thread::Builder::new()
             .name("cdnd-supervisor".to_string())

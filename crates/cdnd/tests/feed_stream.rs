@@ -178,7 +178,7 @@ fn streamed_feed_from_disk_matches_in_ram_feed() {
 
 /// An oracle-free factory feeds a streamed trace with no ShardPlan (no
 /// in-RAM trace at all): the daemon still accepts everything. This is
-/// the production-scale path `cdnd_bench --stream`-style drills use.
+/// the path for feeding a trace too large to hold in RAM.
 #[test]
 fn oracle_free_streamed_feed_accepts_everything() {
     let trace = small_trace(12_000, 23);

@@ -3,7 +3,8 @@
 //! must be detected and degrade one rung, never panic), the
 //! `cdnd.snap_write` torn-tail and write-error rungs, and the
 //! `cdnd.snap_load` read-error rung. All tests drive the public
-//! `cdnd::snapshot` API over real files.
+//! `cdnd::snapshot` API over real files; the corruption corpus flips its
+//! bytes in memory through the `cdnd.snap_load` failpoint.
 //!
 //! Build with `--features fault-injection`; without it this file is
 //! empty.
@@ -59,8 +60,14 @@ fn sample(shard: u32, epoch: u64, entries: usize) -> SnapshotData {
 /// Every single-byte flip of a committed epoch file is detected by the
 /// framing CRCs (or structural validation) and recovery descends exactly
 /// one rung to the older epoch — zero panics across the whole corpus.
+///
+/// The corpus is flipped in memory: the `cdnd.snap_load` failpoint flips
+/// byte `i` of what `load_epoch` read, so each variant still runs the
+/// full `recover` → `load_epoch` → `decode` path without a file rewrite.
+/// One flip is also written to disk to pin the real-file path.
 #[test]
 fn every_byte_flip_descends_to_older_epoch() {
+    let _guard = exclusive();
     let dir = scratch("flip");
     let old = sample(3, 1, 40);
     let new = sample(3, 2, 40);
@@ -68,10 +75,7 @@ fn every_byte_flip_descends_to_older_epoch() {
     let path = write_epoch(&dir, &new).unwrap();
     let pristine = std::fs::read(&path).unwrap();
 
-    for i in 0..pristine.len() {
-        let mut bytes = pristine.clone();
-        bytes[i] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
+    let check = |i: usize| {
         let outcome = recover(&dir, 3);
         let data = outcome.data.unwrap_or_else(|| {
             panic!("flip at byte {i}: recovery went cold instead of descending")
@@ -87,7 +91,27 @@ fn every_byte_flip_descends_to_older_epoch() {
         );
         assert_eq!(outcome.epochs_discarded, 1, "flip at byte {i}");
         assert_eq!(outcome.latest_epoch_seen, 2, "flip at byte {i}");
+    };
+    for i in 0..pristine.len() {
+        fault::arm(
+            FP_SNAP_LOAD,
+            FaultRule::OnKeys(vec![snap_fault_key(3, 2)], FaultAction::CorruptByte(i)),
+        );
+        check(i);
+        assert_eq!(
+            fault::fired(FP_SNAP_LOAD),
+            1,
+            "flip at byte {i} not injected"
+        );
     }
+    fault::clear();
+
+    let i = pristine.len() / 2;
+    let mut bytes = pristine.clone();
+    bytes[i] ^= 0x01;
+    std::fs::write(&path, &bytes).unwrap();
+    check(i);
+
     // Control: the pristine file recovers as epoch 2 with no discards.
     std::fs::write(&path, &pristine).unwrap();
     let outcome = recover(&dir, 3);

@@ -1,8 +1,9 @@
 //! Supervision proofs under deterministic fault injection: crash
 //! isolation preserves surviving-shard exactness (property test extending
 //! `cdn-sim/tests/shard_check.rs`), killed shards restart empty, the
-//! restart-storm breaker opens and is operator-resettable, and the
-//! enqueue failpoint surfaces as a client-visible fault.
+//! restart-storm breaker opens and is operator-resettable, a restarted
+//! shard reads `Closed` only after its warm restore, and the enqueue
+//! failpoint surfaces as a client-visible fault.
 //!
 //! Compile with `--features fault-injection`; without the feature this
 //! file is empty. The failpoint registry is process-global, so every test
@@ -18,7 +19,7 @@ use cdn_cache::{ObjectId, Request};
 use cdn_sim::PolicyKind;
 use cdnd::{
     feed, ledger_diff, worker_fault_key, Daemon, DaemonConfig, FeedMode, RestartConfig, ShardPlan,
-    ShardState, SubmitError, FP_ENQUEUE, FP_SHARD_WORKER,
+    ShardState, SnapshotConfig, SubmitError, FP_ENQUEUE, FP_SHARD_WORKER,
 };
 use proptest::prelude::*;
 
@@ -279,6 +280,71 @@ fn storm_breaker_opens_and_reset_revives() {
     assert_eq!(s.crashes, 3);
     assert_eq!(s.restarts, 3); // two backoff restarts + the reset revival
     assert!(s.processed >= 1, "post-reset request must be served");
+}
+
+/// A restarted shard reads `Closed` only once its worker's warm restore
+/// has returned: a client that sees the shard up again also sees the
+/// final restored counters, never a cold-looking zero.
+#[test]
+fn restarted_shard_is_closed_only_after_warm_restore() {
+    let _g = exclusive();
+    let dir = std::env::temp_dir().join(format!("cdnd-supcheck-warm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = DaemonConfig {
+        shards: 1,
+        total_capacity: 64 << 20,
+        queue_capacity: 1 << 16,
+        restart: fast_restarts(100),
+        snap: SnapshotConfig {
+            interval: 1 << 40, // only the explicit epoch below
+            keep: 2,
+            dir: Some(dir.clone()),
+        },
+        ..DaemonConfig::default()
+    };
+    // Distinct objects, so the snapshot is big enough that restoring it
+    // takes longer than a state poll.
+    let trace: Vec<Request> = (0..50_000u64).map(|t| Request::new(t, t, 100)).collect();
+    let plan = ShardPlan::build(&trace, 1, cfg.seed);
+    let daemon = Daemon::spawn(cfg, plan.factory(PolicyKind::Lru)).unwrap();
+    feed(&daemon, &trace, await_recovery());
+    assert!(daemon.await_quiesced(0, QUIESCE));
+    daemon.snapshot_shard(0);
+    let t0 = std::time::Instant::now();
+    while daemon.stats().shards[0].snapshots_written == 0 {
+        assert!(t0.elapsed() < QUIESCE, "snapshot never committed");
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    let before = daemon.stats().shards[0];
+    assert!(before.resident_objects > 10_000);
+
+    fault::arm(
+        FP_SHARD_WORKER,
+        FaultRule::OnKeys(
+            vec![worker_fault_key(0, before.processed)],
+            FaultAction::Panic("injected kill".into()),
+        ),
+    );
+    assert!(daemon.submit(Request::new(0, 0, 100)).is_ok());
+    let t0 = std::time::Instant::now();
+    let after = loop {
+        assert!(t0.elapsed() < QUIESCE, "killed shard never came back");
+        if daemon.shard_state(0) == ShardState::Closed {
+            let s = daemon.stats().shards[0];
+            if s.restarts == 1 {
+                break s;
+            }
+        }
+        std::thread::sleep(Duration::from_micros(100));
+    };
+    assert_eq!(
+        after.restored_objects, before.resident_objects as u64,
+        "shard read Closed before its warm restore finished"
+    );
+    assert_eq!(after.restored_bytes, before.resident_bytes);
+    daemon.shutdown();
+    fault::clear();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The `cdnd.enqueue` failpoint turns submits into client-visible
