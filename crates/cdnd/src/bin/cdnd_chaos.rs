@@ -422,15 +422,21 @@ fn run_kill(
     quiesce_all(&daemon);
 
     for (start, end) in [(cuts[0], cuts[1]), (cuts[2], cuts[3])] {
-        // Kill the victim on its next request, then feed the outage
-        // slice: the crash request is accepted-then-lost, every later
-        // victim-bound request in the slice is rejected ShardDown.
+        // Kill the victim on its next request: the slice's first
+        // victim-bound request, accepted-then-lost. Feed the slice up to
+        // and including it and wait for the crash, so every later
+        // victim-bound request in the slice is rejected ShardDown however
+        // late the victim's worker gets scheduled.
+        let ci = (start..end)
+            .find(|&i| cdn_cache::key_shard(trace[i].id.0, SHARDS) == victim)
+            .expect("kill: no victim-bound request in the outage slice");
         arm_next_victim_tick(&daemon);
-        reports.push(feed(&daemon, &trace[start..end], calm_mode()));
+        reports.push(feed(&daemon, &trace[start..=ci], calm_mode()));
         assert!(
             daemon.await_shard_state(victim, ShardState::Backoff, Duration::from_secs(30)),
-            "victim should be down at the end of the outage slice"
+            "victim should be down after its armed request"
         );
+        reports.push(feed(&daemon, &trace[ci + 1..end], calm_mode()));
         // `arm` resets the site's fired counter, so bank this outage's
         // count before the next arm.
         kills += fault::fired(FP_SHARD_WORKER);

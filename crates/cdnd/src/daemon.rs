@@ -6,11 +6,13 @@
 //! thread. The robustness contract, in order of importance:
 //!
 //! - **Crash isolation**: a panicking worker (its own bug, or the
-//!   `cdnd.shard_worker` failpoint) is caught per request. Its cache is
-//!   declared lost (the policy instance drops with the worker), the
-//!   unprocessed tail of its popped batch is returned to the ring, and
-//!   every other shard keeps serving untouched. Only the single request
-//!   that panicked is lost, and it is counted (`lost`), never silent.
+//!   `cdnd.shard_worker` failpoint) is caught per popped batch, under one
+//!   `catch_unwind` scope that keeps a replay-from-crash index: the
+//!   requests before the panic are accounted as served, the one that
+//!   panicked is lost and counted (`lost`), never silent, and the
+//!   unprocessed tail is returned to the ring in order. The cache is
+//!   declared lost (the policy instance drops with the worker) and every
+//!   other shard keeps serving untouched.
 //! - **Supervised recovery**: the supervisor restarts crashed shards with
 //!   bounded exponential backoff; a restart storm (more than
 //!   `storm_threshold` restarts inside `storm_window_ms`) trips a breaker
@@ -33,13 +35,19 @@
 //!   `shards × queue_capacity × sizeof(Request)`, a constant.
 //! - **Graceful drain**: [`Daemon::shutdown`] stops intake, lets every
 //!   live worker finish all queued requests, then joins all threads.
+//! - **Event-driven handoff**: a batched producer facing a full ring
+//!   sleeps in [`BoundedRing::wait_room`] until a refill watermark of
+//!   slots is free (half the ring at most), in slices of at most 1 ms so
+//!   a shard that leaves `Closed` mid-wait is seen at once; the ring
+//!   signals only threads that are actually waiting.
 //!
 //! Ledger exactness: each worker assigns local ticks `0, 1, 2, …` to the
-//! requests it processes and splits capacity exactly like
-//! `cdn_sim::run_sharded_serial`, so a shard that never crashed produces
-//! hit/miss/byte ledgers equal u64-for-u64 to the library's serial
-//! sharded replay of the same stream (property-tested in
-//! `tests/supervision_check.rs`).
+//! requests it processes (reserving a batch's range with one atomic add)
+//! and splits capacity exactly like `cdn_sim::run_sharded_serial`, so a
+//! shard that never crashed produces hit/miss/byte ledgers equal
+//! u64-for-u64 to the library's serial sharded replay of the same stream
+//! (property-tested in `tests/supervision_check.rs`). Serving counters
+//! are tallied locally and published once per batch.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -471,7 +479,7 @@ enum SupEvent {
 }
 
 thread_local! {
-    /// Set while a worker processes a request under `catch_unwind`, so
+    /// Set while a worker serves a batch under `catch_unwind`, so
     /// the global panic hook stays quiet for crashes the supervisor is
     /// about to catch, account for and recover from.
     static ISOLATING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
@@ -497,6 +505,112 @@ fn install_quiet_hook() {
 const POP_TIMEOUT: Duration = Duration::from_millis(1);
 /// Supervisor idle wake interval when no restart is pending.
 const SUP_IDLE: Duration = Duration::from_millis(200);
+
+/// The live snapshot config, with its cadence mirrored into an atomic so
+/// the worker's after-every-batch check takes no lock and clones nothing.
+struct SnapCfg {
+    cfg: Mutex<SnapshotConfig>,
+    interval: AtomicU64,
+}
+
+impl SnapCfg {
+    fn new(cfg: SnapshotConfig) -> SnapCfg {
+        SnapCfg {
+            interval: AtomicU64::new(cfg.interval),
+            cfg: Mutex::new(cfg),
+        }
+    }
+
+    fn get(&self) -> SnapshotConfig {
+        self.cfg.lock().unwrap().clone()
+    }
+
+    fn set(&self, cfg: SnapshotConfig) {
+        let mut g = self.cfg.lock().unwrap();
+        self.interval.store(cfg.interval, Ordering::Relaxed);
+        *g = cfg;
+    }
+
+    /// Requests between cadence epochs; 0 when snapshotting is off.
+    fn interval(&self) -> u64 {
+        self.interval.load(Ordering::Relaxed)
+    }
+}
+
+/// Hit/miss/byte tallies of one batch, kept in locals while it is served
+/// and published with one atomic add per counter.
+#[derive(Default)]
+struct Tally {
+    hits: u64,
+    misses: u64,
+    hit_bytes: u64,
+    miss_bytes: u64,
+}
+
+impl Tally {
+    fn add(&mut self, kind: AccessKind, size: u64) {
+        if kind.is_hit() {
+            self.hits += 1;
+            self.hit_bytes += size;
+        } else {
+            self.misses += 1;
+            self.miss_bytes += size;
+        }
+    }
+
+    fn flush(&self, shared: &ShardShared) {
+        shared.hits.fetch_add(self.hits, Ordering::Relaxed);
+        shared.misses.fetch_add(self.misses, Ordering::Relaxed);
+        shared
+            .hit_bytes
+            .fetch_add(self.hit_bytes, Ordering::Relaxed);
+        shared
+            .miss_bytes
+            .fetch_add(self.miss_bytes, Ordering::Relaxed);
+        shared
+            .processed
+            .fetch_add(self.hits + self.misses, Ordering::Relaxed);
+    }
+}
+
+/// Serve `items` in order under one isolation scope. The batch's tick
+/// range is reserved with a single `fetch_add`; `done` counts requests
+/// fully served, so on a panic it indexes the request that panicked.
+/// Either way the tallies of `items[..done]` are published; after a
+/// panic the shard's next tick is set just past the panicked request
+/// (the tail was never ticked) and `Err(done)` is returned.
+fn serve_batch(
+    shared: &ShardShared,
+    policy: &mut ShardPolicy,
+    items: &mut [Request],
+) -> Result<(), usize> {
+    let base = shared
+        .ticks
+        .fetch_add(items.len() as u64, Ordering::Relaxed);
+    let mut tally = Tally::default();
+    let mut done = 0usize;
+    ISOLATING.with(|f| f.set(true));
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        for req in items.iter_mut() {
+            req.tick = base + done as u64;
+            #[cfg(feature = "fault-injection")]
+            cdn_cache::fault::maybe_panic(FP_SHARD_WORKER, worker_fault_key(shared.id, req.tick));
+            tally.add(policy.on_request(req), req.size);
+            done += 1;
+        }
+    }));
+    ISOLATING.with(|f| f.set(false));
+    tally.flush(shared);
+    match outcome {
+        Ok(()) => Ok(()),
+        Err(_) => {
+            shared
+                .ticks
+                .store(base + done as u64 + 1, Ordering::Relaxed);
+            Err(done)
+        }
+    }
+}
 
 /// Export the shard's resident set and commit one snapshot epoch.
 /// Returns true when a file was committed. Never perturbs policy state:
@@ -567,7 +681,7 @@ fn worker_loop(
     factory: PolicyFactory,
     per_shard_capacity: u64,
     batch: usize,
-    snap_cfg: Arc<Mutex<SnapshotConfig>>,
+    snap_cfg: Arc<SnapCfg>,
     events: Sender<SupEvent>,
     ready: Option<Sender<()>>,
 ) {
@@ -584,10 +698,7 @@ fn worker_loop(
     // Warm restore happens before the first pop: the ring's queued
     // requests are served by a cache that already holds the snapshotted
     // resident set, in its snapshotted recency order.
-    {
-        let snap = snap_cfg.lock().unwrap().clone();
-        restore_warm(&shared, &mut policy, &snap);
-    }
+    restore_warm(&shared, &mut policy, &snap_cfg.get());
     shared.publish_residency(&policy);
     // Published here, not by the supervisor after the signal, so a crash
     // on this incarnation's first request can never have its `Backoff`
@@ -597,6 +708,8 @@ fn worker_loop(
         let _ = ready.send(());
     }
     let mut since_snap: u64 = 0;
+    // The pop buffer, reused from batch to batch.
+    let mut items: Vec<Request> = Vec::with_capacity(batch);
     loop {
         if shared.ctl_pending.swap(false, Ordering::AcqRel) {
             let cmds: Vec<Ctl> = std::mem::take(&mut *shared.ctl.lock().unwrap());
@@ -608,8 +721,7 @@ fn worker_loop(
                         }
                     }
                     Ctl::SnapshotNow => {
-                        let snap = snap_cfg.lock().unwrap().clone();
-                        if take_snapshot(&shared, &policy, &snap) {
+                        if take_snapshot(&shared, &policy, &snap_cfg.get()) {
                             since_snap = 0;
                         }
                     }
@@ -620,8 +732,8 @@ fn worker_loop(
             std::thread::sleep(Duration::from_micros(200));
             continue;
         }
-        match shared.ring.pop_many(batch, POP_TIMEOUT) {
-            Popped::Items(items) => {
+        match shared.ring.pop_many(&mut items, batch, POP_TIMEOUT) {
+            Popped::Items => {
                 // A pause that raced the pop (the worker was already
                 // blocked inside `pop_many` when the flag went up) is
                 // honoured before any request is served: the batch goes
@@ -629,60 +741,30 @@ fn worker_loop(
                 // drills observe exact queue depths. The ring mutex
                 // orders the flag store before the popped push.
                 if shared.paused.load(Ordering::Acquire) {
-                    shared.ring.unpop(items.into_iter().collect());
+                    shared.ring.unpop(items.drain(..));
                     continue;
                 }
-                let mut pending = items.into_iter();
-                while let Some(mut req) = pending.next() {
-                    let tick = shared.ticks.fetch_add(1, Ordering::Relaxed);
-                    req.tick = tick;
-                    let outcome = {
-                        ISOLATING.with(|f| f.set(true));
-                        let r = catch_unwind(AssertUnwindSafe(|| {
-                            #[cfg(feature = "fault-injection")]
-                            cdn_cache::fault::maybe_panic(
-                                FP_SHARD_WORKER,
-                                worker_fault_key(shared.id, tick),
-                            );
-                            policy.on_request(&req)
-                        }));
-                        ISOLATING.with(|f| f.set(false));
-                        r
-                    };
-                    match outcome {
-                        Ok(kind) => {
-                            if kind.is_hit() {
-                                shared.hits.fetch_add(1, Ordering::Relaxed);
-                                shared.hit_bytes.fetch_add(req.size, Ordering::Relaxed);
-                            } else {
-                                shared.misses.fetch_add(1, Ordering::Relaxed);
-                                shared.miss_bytes.fetch_add(req.size, Ordering::Relaxed);
-                            }
-                            shared.processed.fetch_add(1, Ordering::Relaxed);
-                            since_snap += 1;
-                        }
-                        Err(_) => {
-                            // Crash isolation: the panicking request is
-                            // lost (counted), the rest of the batch goes
-                            // back to the ring in order, the cache dies
-                            // with this incarnation.
-                            shared.lost.fetch_add(1, Ordering::Relaxed);
-                            shared.crashes.fetch_add(1, Ordering::Relaxed);
-                            shared.ring.unpop(pending.collect());
-                            shared.set_state(ShardState::Backoff);
-                            shared.resident_objects.store(0, Ordering::Relaxed);
-                            shared.resident_bytes.store(0, Ordering::Relaxed);
-                            let _ = events.send(SupEvent::Crashed { shard: shared.id });
-                            return;
-                        }
-                    }
+                if let Err(done) = serve_batch(&shared, &mut policy, &mut items) {
+                    // Crash isolation: the panicking request is lost
+                    // (counted), the rest of the batch goes back to the
+                    // ring in order, the cache dies with this
+                    // incarnation.
+                    shared.lost.fetch_add(1, Ordering::Relaxed);
+                    shared.crashes.fetch_add(1, Ordering::Relaxed);
+                    shared.ring.unpop(items.drain(done + 1..));
+                    shared.set_state(ShardState::Backoff);
+                    shared.resident_objects.store(0, Ordering::Relaxed);
+                    shared.resident_bytes.store(0, Ordering::Relaxed);
+                    let _ = events.send(SupEvent::Crashed { shard: shared.id });
+                    return;
                 }
+                since_snap += items.len() as u64;
                 shared.publish_residency(&policy);
                 // Cadence snapshots commit between batches, never inside
                 // one, so an epoch always captures a batch boundary.
-                let snap = snap_cfg.lock().unwrap().clone();
-                if snap.enabled() && since_snap >= snap.interval {
-                    take_snapshot(&shared, &policy, &snap);
+                let interval = snap_cfg.interval();
+                if interval > 0 && since_snap >= interval {
+                    take_snapshot(&shared, &policy, &snap_cfg.get());
                     since_snap = 0;
                 }
             }
@@ -690,8 +772,7 @@ fn worker_loop(
             Popped::Drained => {
                 // Graceful drain: one final epoch so a subsequent process
                 // start (or the bench harness) can restore fully warm.
-                let snap = snap_cfg.lock().unwrap().clone();
-                take_snapshot(&shared, &policy, &snap);
+                take_snapshot(&shared, &policy, &snap_cfg.get());
                 break;
             }
         }
@@ -708,7 +789,7 @@ struct SupervisorCtx {
     per_shard_capacity: u64,
     worker_batch: usize,
     restart_cfg: Arc<Mutex<RestartConfig>>,
-    snap_cfg: Arc<Mutex<SnapshotConfig>>,
+    snap_cfg: Arc<SnapCfg>,
     events_tx: Sender<SupEvent>,
     shutting_down: Arc<AtomicBool>,
 }
@@ -814,7 +895,7 @@ pub struct Daemon {
     events_tx: Sender<SupEvent>,
     cfg: Mutex<DaemonConfig>,
     restart_cfg: Arc<Mutex<RestartConfig>>,
-    snap_cfg: Arc<Mutex<SnapshotConfig>>,
+    snap_cfg: Arc<SnapCfg>,
     // Routing/admission tunables, mirrored into atomics so the submit
     // hot path never takes a config lock.
     route_failover: AtomicBool,
@@ -838,7 +919,7 @@ impl Daemon {
             .collect();
         let workers: WorkerSlots = Arc::new((0..n).map(|_| Mutex::new(None)).collect());
         let restart_cfg = Arc::new(Mutex::new(cfg.restart));
-        let snap_cfg = Arc::new(Mutex::new(cfg.snap.clone()));
+        let snap_cfg = Arc::new(SnapCfg::new(cfg.snap.clone()));
         let shutting_down = Arc::new(AtomicBool::new(false));
         let (events_tx, events_rx) = channel();
         let ctx = SupervisorCtx {
@@ -1022,10 +1103,12 @@ impl Daemon {
     /// admission (`High`, no deadline): every request in `batch` must
     /// route to `shard` as its primary. Accepts as many as fit under one
     /// ring-lock acquisition per attempt ([`BoundedRing::push_many`]),
-    /// waiting for queue space up to `wait`, and returns how many were
-    /// enqueued. Refused requests stay in `batch` in submission order so
-    /// the caller can fall back to the per-request path — which owns all
-    /// refusal accounting (shed / down / deadline / failover). The fast
+    /// waiting for queue space up to `wait` (asleep until the worker has
+    /// freed a refill watermark of slots, [`BoundedRing::wait_room`]),
+    /// and returns how many were enqueued. Refused requests stay in
+    /// `batch` in submission order so the caller can fall back to the
+    /// per-request path — which owns all refusal accounting (shed /
+    /// down / deadline / failover). The fast
     /// path itself refuses nothing and counts nothing but `enqueued`: it
     /// stops (returning the partial count) the moment the shard leaves
     /// `Closed`, so requests are never silently queued behind a dead
@@ -1051,6 +1134,9 @@ impl Daemon {
         }
         #[cfg(not(feature = "fault-injection"))]
         {
+            /// Longest single sleep on a full ring before the shard's
+            /// health and the daemon's shutdown flag are re-checked.
+            const SUBMIT_SLICE: Duration = Duration::from_millis(1);
             let target = &self.shards[shard];
             let deadline = wait.map(|w| Instant::now() + w);
             let mut pushed = 0usize;
@@ -1066,20 +1152,23 @@ impl Daemon {
                     return Ok(pushed);
                 }
                 match target.ring.push_many(batch, target.ring.capacity()) {
-                    Ok(n) => {
-                        if n > 0 {
-                            target.enqueued.fetch_add(n as u64, Ordering::Relaxed);
-                            pushed += n;
-                            continue;
+                    Ok(n) if n > 0 => {
+                        target.enqueued.fetch_add(n as u64, Ordering::Relaxed);
+                        pushed += n;
+                    }
+                    Ok(_) => {
+                        // Ring full: sleep until the worker has freed a
+                        // refill watermark's worth of slots (the rest of
+                        // the batch, at most half the ring), in short
+                        // slices so a shard crash mid-wait is seen.
+                        let left = deadline.map_or(Duration::ZERO, |d| {
+                            d.saturating_duration_since(Instant::now())
+                        });
+                        if left.is_zero() {
+                            return Ok(pushed);
                         }
-                        // Ring full: wait out the backpressure budget in
-                        // short slices so a shard crash mid-wait is seen.
-                        match deadline {
-                            Some(d) if Instant::now() < d => {
-                                std::thread::sleep(Duration::from_micros(200));
-                            }
-                            _ => return Ok(pushed),
-                        }
+                        let need = batch.len().min(target.ring.capacity() / 2);
+                        target.ring.wait_room(need, left.min(SUBMIT_SLICE));
                     }
                     Err(PushError::Full) => unreachable!("push_many never reports Full"),
                     Err(PushError::Closed) => {
@@ -1160,7 +1249,7 @@ impl Daemon {
         match result {
             Ok(()) => {
                 *self.restart_cfg.lock().unwrap() = candidate.restart;
-                *self.snap_cfg.lock().unwrap() = candidate.snap.clone();
+                self.snap_cfg.set(candidate.snap.clone());
                 self.route_failover
                     .store(candidate.route.failover, Ordering::Relaxed);
                 self.admit_low_pct

@@ -185,7 +185,7 @@ pub struct ClientTally {
 }
 
 /// What the client observed while feeding a stream.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FeedReport {
     /// Per-shard tallies, indexed by shard id.
     pub per_shard: Vec<ClientTally>,
@@ -384,6 +384,27 @@ impl FeedState {
         }
     }
 
+    /// Apply `n` outcomes accepted on `shard` as their primary at once:
+    /// the same report as `n` calls of [`FeedState::apply`]. The first
+    /// closes `shard`'s window and none touches another shard's, so one
+    /// inside/outside verdict holds for all `n`.
+    fn apply_accepted_run(&mut self, shard: usize, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let tally = &mut self.report.per_shard[shard];
+        tally.submitted += n;
+        tally.accepted += n;
+        self.down[shard] = false;
+        if self.down.iter().any(|d| *d) {
+            self.report.inside_total += n;
+            self.report.inside_accepted += n;
+        } else {
+            self.report.outside_total += n;
+            self.report.outside_accepted += n;
+        }
+    }
+
     /// Submit one request through the per-request path.
     fn submit_one(&mut self, daemon: &Daemon, req: Request, mode: FeedMode) {
         let primary = daemon.route(req.id.0);
@@ -416,15 +437,7 @@ impl FeedState {
             let pushed = daemon
                 .submit_batch(shard, &mut group, Some(wait))
                 .unwrap_or(0);
-            for _ in 0..pushed {
-                self.apply(
-                    shard,
-                    Ok(Accepted {
-                        shard,
-                        failover: false,
-                    }),
-                );
-            }
+            self.apply_accepted_run(shard, pushed as u64);
             for req in group {
                 self.submit_one(daemon, req, mode);
             }
@@ -583,4 +596,83 @@ pub fn routed_ledger_diff(
         reference.miss_bytes,
         reference.failover_in
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One client-side event: a single outcome, or a run of `n` requests
+    /// accepted on `shard` as their primary (what `submit_batch` returns).
+    enum Step {
+        One(usize, Result<Accepted, (usize, SubmitError)>),
+        Run(usize, u64),
+    }
+
+    /// Deterministic mixed windows over 3 shards: batched runs, Down
+    /// rejections that open windows, failover accepts, sheds.
+    fn steps(seed: u64, len: usize) -> Vec<Step> {
+        let mut x = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let mut next = |m: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % m
+        };
+        (0..len)
+            .map(|_| {
+                let shard = next(3) as usize;
+                match next(5) {
+                    0 => Step::One(shard, Err((shard, SubmitError::Down))),
+                    1 => {
+                        let to = (shard + 1) % 3;
+                        Step::One(
+                            shard,
+                            Ok(Accepted {
+                                shard: to,
+                                failover: true,
+                            }),
+                        )
+                    }
+                    2 => Step::One(shard, Err((shard, SubmitError::Shed))),
+                    _ => Step::Run(shard, next(6)),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bulk_accepted_runs_match_per_request_apply() {
+        for seed in 0..200 {
+            let (mut each, mut bulk) = (FeedState::new(3), FeedState::new(3));
+            for step in steps(seed, 40) {
+                match step {
+                    Step::One(primary, outcome) => {
+                        each.apply(primary, outcome);
+                        bulk.apply(primary, outcome);
+                    }
+                    Step::Run(shard, n) => {
+                        for _ in 0..n {
+                            each.apply(
+                                shard,
+                                Ok(Accepted {
+                                    shard,
+                                    failover: false,
+                                }),
+                            );
+                        }
+                        bulk.apply_accepted_run(shard, n);
+                    }
+                }
+                assert_eq!(each.down, bulk.down, "seed {seed}");
+            }
+            assert_eq!(each.report, bulk.report, "seed {seed}");
+            assert!(
+                each.report.outage_windows > 0,
+                "seed {seed} opened no window"
+            );
+        }
+    }
 }

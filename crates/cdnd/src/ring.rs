@@ -7,8 +7,17 @@
 //! are served by its replacement, so crash isolation does not silently
 //! drop accepted work). Both properties are easier to prove on a mutexed
 //! deque than on a lock-free ring, and the daemon batches pops
-//! ([`BoundedRing::pop_many`]) so the lock is taken once per batch, not
-//! once per request.
+//! ([`BoundedRing::pop_many`], into a buffer the worker reuses) so the
+//! lock is taken once per batch, not once per request.
+//!
+//! Waiter-gated wakeups: the ring counts blocked producers and consumers
+//! under its mutex and signals a condvar only when someone is waiting
+//! (a futex wake is a syscall even with no waiter). Blocked producers
+//! also state how much room they need ([`BoundedRing::wait_room`]), and
+//! a pop wakes them only once that much is free: a closed-loop producer
+//! refilling a full ring is woken once per refill watermark, not once
+//! per worker batch. A drained ring has all its room free, so a waiter
+//! whose need is at most `capacity` is always woken eventually.
 //!
 //! Depth accounting: the ring tracks its own high-water mark
 //! ([`BoundedRing::peak_depth`]) under the same lock that admits pushes,
@@ -16,8 +25,8 @@
 //! sampled.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// Why a push was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,10 +38,10 @@ pub enum PushError {
 }
 
 /// Outcome of a timed pop.
-#[derive(Debug)]
-pub enum Popped<T> {
-    /// Items were dequeued (into the caller's buffer).
-    Items(Vec<T>),
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Popped {
+    /// Items were dequeued into the caller's buffer.
+    Items,
     /// Nothing arrived within the timeout; the ring is still open.
     TimedOut,
     /// The ring is closed *and* fully drained — the worker may exit.
@@ -43,11 +52,32 @@ struct Inner<T> {
     queue: VecDeque<T>,
     closed: bool,
     peak_depth: usize,
+    /// Threads blocked in `push_wait` / `wait_room`, counted from before
+    /// they sleep until they hold the lock again.
+    producers_waiting: usize,
+    /// Smallest free-slot count any sleeping producer waits for
+    /// (`usize::MAX` when none is asleep). Reset whenever producers are
+    /// woken; each waiter re-registers its need if it sleeps again.
+    room_wanted: usize,
+    /// Threads blocked in `pop_many`.
+    consumers_waiting: usize,
+}
+
+impl<T> Inner<T> {
+    /// Free slots under the hard capacity (0 while an `unpop` has the
+    /// ring transiently over it).
+    fn room(&self, capacity: usize) -> usize {
+        capacity.saturating_sub(self.queue.len())
+    }
+
+    fn note_depth(&mut self) {
+        self.peak_depth = self.peak_depth.max(self.queue.len());
+    }
 }
 
 /// Bounded multi-producer single-consumer queue with close/drain
 /// semantics. `capacity` is a hard bound: pushes beyond it fail with
-/// [`PushError::Full`] (or block, for the backpressure variant) rather
+/// [`PushError::Full`] (or block, for the backpressure variants) rather
 /// than allocate.
 pub struct BoundedRing<T> {
     capacity: usize,
@@ -69,6 +99,9 @@ impl<T> BoundedRing<T> {
                 queue: VecDeque::with_capacity(capacity.min(1 << 16)),
                 closed: false,
                 peak_depth: 0,
+                producers_waiting: 0,
+                room_wanted: usize::MAX,
+                consumers_waiting: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -78,6 +111,52 @@ impl<T> BoundedRing<T> {
     /// Hard bound this ring was built with.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// Wake the consumer if it is blocked, releasing the lock first.
+    fn wake_consumer(&self, g: MutexGuard<'_, Inner<T>>) {
+        let waiting = g.consumers_waiting > 0;
+        drop(g);
+        if waiting {
+            self.not_empty.notify_one();
+        }
+    }
+
+    /// Wake every blocked producer once the ring has the room the least
+    /// demanding sleeper asked for (`force`: whatever the room),
+    /// releasing the lock first.
+    fn wake_producers(&self, mut g: MutexGuard<'_, Inner<T>>, force: bool) {
+        let due = g.producers_waiting > 0 && (force || g.room(self.capacity) >= g.room_wanted);
+        if due {
+            g.room_wanted = usize::MAX;
+        }
+        drop(g);
+        if due {
+            self.not_full.notify_all();
+        }
+    }
+
+    /// Sleep as a producer needing `need` free slots until woken or
+    /// `deadline`; returns the reacquired guard and whether the deadline
+    /// has passed.
+    fn sleep_for_room<'a>(
+        &self,
+        mut g: MutexGuard<'a, Inner<T>>,
+        need: usize,
+        deadline: Instant,
+    ) -> (MutexGuard<'a, Inner<T>>, bool) {
+        let now = Instant::now();
+        if now >= deadline {
+            return (g, true);
+        }
+        g.producers_waiting += 1;
+        g.room_wanted = g.room_wanted.min(need);
+        let (mut g, res) = self.not_full.wait_timeout(g, deadline - now).unwrap();
+        g.producers_waiting -= 1;
+        if g.producers_waiting == 0 {
+            g.room_wanted = usize::MAX;
+        }
+        (g, res.timed_out())
     }
 
     /// Try to enqueue without blocking; sheds with [`PushError::Full`] at
@@ -103,10 +182,8 @@ impl<T> BoundedRing<T> {
             return Err((g.queue.len(), PushError::Full));
         }
         g.queue.push_back(item);
-        let depth = g.queue.len();
-        g.peak_depth = g.peak_depth.max(depth);
-        drop(g);
-        self.not_empty.notify_one();
+        g.note_depth();
+        self.wake_consumer(g);
         Ok(())
     }
 
@@ -133,11 +210,26 @@ impl<T> BoundedRing<T> {
             return Ok(0);
         }
         g.queue.extend(batch.drain(..take));
-        let depth = g.queue.len();
-        g.peak_depth = g.peak_depth.max(depth);
-        drop(g);
-        self.not_empty.notify_one();
+        g.note_depth();
+        self.wake_consumer(g);
         Ok(take)
+    }
+
+    /// Block until at least `need` slots are free (clamped to
+    /// `1..=capacity`), the ring closes, or `timeout` passes; true when
+    /// the room is there. Reserves nothing: the caller pushes afterwards
+    /// and may find less room if another producer got there first. A pop
+    /// wakes the waiter only once `need` slots are free, so `need` is the
+    /// caller's refill watermark; `unpop` and `close` wake it whatever
+    /// the room (returning false), so a caller watching a crashing
+    /// consumer re-checks promptly.
+    pub fn wait_room(&self, need: usize, timeout: Duration) -> bool {
+        let need = need.clamp(1, self.capacity);
+        let mut g = self.inner.lock().unwrap();
+        if !g.closed && g.room(self.capacity) < need {
+            g = self.sleep_for_room(g, need, Instant::now() + timeout).0;
+        }
+        !g.closed && g.room(self.capacity) >= need
     }
 
     /// Enqueue with backpressure: block while the ring is full, up to
@@ -145,6 +237,7 @@ impl<T> BoundedRing<T> {
     /// with the ring still at capacity (a stuck consumer), or
     /// [`PushError::Closed`] if the ring closes while waiting.
     pub fn push_wait(&self, item: T, timeout: Duration) -> Result<(), PushError> {
+        let deadline = Instant::now() + timeout;
         let mut g = self.inner.lock().unwrap();
         loop {
             if g.closed {
@@ -152,65 +245,74 @@ impl<T> BoundedRing<T> {
             }
             if g.queue.len() < self.capacity {
                 g.queue.push_back(item);
-                let depth = g.queue.len();
-                g.peak_depth = g.peak_depth.max(depth);
-                drop(g);
-                self.not_empty.notify_one();
+                g.note_depth();
+                self.wake_consumer(g);
                 return Ok(());
             }
-            let (g2, res) = self.not_full.wait_timeout(g, timeout).unwrap();
+            let (g2, expired) = self.sleep_for_room(g, 1, deadline);
             g = g2;
-            if res.timed_out() && g.queue.len() >= self.capacity {
+            if expired && !g.closed && g.queue.len() >= self.capacity {
                 return Err(PushError::Full);
             }
         }
     }
 
-    /// Dequeue up to `max` items, waiting up to `timeout` for the first.
-    /// One lock acquisition serves the whole batch. Single consumer only.
-    pub fn pop_many(&self, max: usize, timeout: Duration) -> Popped<T> {
+    /// Move up to `max` items into `out` (cleared first), waiting up to
+    /// `timeout` for the first. One lock acquisition serves the whole
+    /// batch, and `out` keeps its allocation from batch to batch. Single
+    /// consumer only.
+    pub fn pop_many(&self, out: &mut Vec<T>, max: usize, timeout: Duration) -> Popped {
+        out.clear();
+        let deadline = Instant::now() + timeout;
         let mut g = self.inner.lock().unwrap();
         loop {
             if !g.queue.is_empty() {
                 let take = g.queue.len().min(max.max(1));
-                let items: Vec<T> = g.queue.drain(..take).collect();
-                drop(g);
-                self.not_full.notify_all();
-                return Popped::Items(items);
+                out.extend(g.queue.drain(..take));
+                self.wake_producers(g, false);
+                return Popped::Items;
             }
             if g.closed {
                 return Popped::Drained;
             }
-            let (g2, res) = self.not_empty.wait_timeout(g, timeout).unwrap();
-            g = g2;
-            if res.timed_out() && g.queue.is_empty() {
-                return if g.closed {
-                    Popped::Drained
-                } else {
-                    Popped::TimedOut
-                };
+            let now = Instant::now();
+            if now >= deadline {
+                return Popped::TimedOut;
             }
+            g.consumers_waiting += 1;
+            let (g2, _) = self.not_empty.wait_timeout(g, deadline - now).unwrap();
+            g = g2;
+            g.consumers_waiting -= 1;
         }
     }
 
     /// Put items back at the *front* of the ring, preserving their order.
     /// Used by a crashing worker to return the unprocessed tail of its
-    /// popped batch, so the replacement worker sees the exact original
-    /// stream (minus only the request that panicked). May transiently
-    /// exceed `capacity` — the items were already admitted once, so
-    /// re-queueing them must not shed.
-    pub fn unpop(&self, items: Vec<T>) {
-        if items.is_empty() {
+    /// popped batch (drained straight out of its pop buffer), so the
+    /// replacement worker sees the exact original stream (minus only the
+    /// request that panicked). May transiently exceed `capacity` — the
+    /// items were already admitted once, so re-queueing them must not
+    /// shed. Wakes blocked producers whatever the room, so a producer
+    /// waiting on this shard re-checks its health at once.
+    pub fn unpop<I>(&self, items: I)
+    where
+        I: IntoIterator<Item = T>,
+        I::IntoIter: DoubleEndedIterator,
+    {
+        let mut items = items.into_iter().rev().peekable();
+        if items.peek().is_none() {
             return;
         }
         let mut g = self.inner.lock().unwrap();
-        for item in items.into_iter().rev() {
+        for item in items {
             g.queue.push_front(item);
         }
-        let depth = g.queue.len();
-        g.peak_depth = g.peak_depth.max(depth);
-        drop(g);
-        self.not_empty.notify_one();
+        g.note_depth();
+        let consumer = g.consumers_waiting > 0;
+        self.wake_producers(g, true);
+        if consumer {
+            self.not_empty.notify_one();
+        }
     }
 
     /// Close the ring: further pushes fail, pops drain what remains and
@@ -247,6 +349,16 @@ impl<T> BoundedRing<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    /// Pop into a fresh buffer and hand back what was dequeued.
+    fn pop(ring: &BoundedRing<u32>, max: usize) -> Vec<u32> {
+        let mut buf = Vec::new();
+        match ring.pop_many(&mut buf, max, Duration::from_millis(1)) {
+            Popped::Items => buf,
+            other => panic!("expected items, got {other:?}"),
+        }
+    }
 
     #[test]
     fn sheds_at_capacity_and_tracks_peak() {
@@ -257,10 +369,7 @@ mod tests {
         assert_eq!(ring.try_push(99), Err(PushError::Full));
         assert_eq!(ring.len(), 4);
         assert_eq!(ring.peak_depth(), 4);
-        match ring.pop_many(64, Duration::from_millis(1)) {
-            Popped::Items(items) => assert_eq!(items, vec![0, 1, 2, 3]),
-            other => panic!("expected items, got {other:?}"),
-        }
+        assert_eq!(pop(&ring, 64), vec![0, 1, 2, 3]);
         // Peak is a high-water mark: draining does not lower it.
         assert_eq!(ring.peak_depth(), 4);
         assert_eq!(ring.try_push(5), Ok(()));
@@ -302,10 +411,7 @@ mod tests {
         assert_eq!(ring.push_many(&mut batch, usize::MAX), Ok(0));
         assert_eq!(batch.len(), 2);
         assert_eq!(ring.peak_depth(), 4);
-        match ring.pop_many(8, Duration::from_millis(1)) {
-            Popped::Items(items) => assert_eq!(items, vec![0, 1, 2, 3]),
-            other => panic!("expected items, got {other:?}"),
-        }
+        assert_eq!(pop(&ring, 8), vec![0, 1, 2, 3]);
         ring.close();
         assert_eq!(
             ring.push_many(&mut batch, usize::MAX),
@@ -321,18 +427,14 @@ mod tests {
         ring.try_push(2).unwrap();
         ring.close();
         assert_eq!(ring.try_push(3), Err(PushError::Closed));
-        match ring.pop_many(1, Duration::from_millis(1)) {
-            Popped::Items(items) => assert_eq!(items, vec![1]),
-            other => panic!("expected items, got {other:?}"),
-        }
-        match ring.pop_many(8, Duration::from_millis(1)) {
-            Popped::Items(items) => assert_eq!(items, vec![2]),
-            other => panic!("expected items, got {other:?}"),
-        }
-        assert!(matches!(
-            ring.pop_many(8, Duration::from_millis(1)),
+        assert_eq!(pop(&ring, 1), vec![1]);
+        assert_eq!(pop(&ring, 8), vec![2]);
+        let mut buf = vec![7];
+        assert_eq!(
+            ring.pop_many(&mut buf, 8, Duration::from_millis(1)),
             Popped::Drained
-        ));
+        );
+        assert!(buf.is_empty(), "a pop always clears the caller's buffer");
     }
 
     #[test]
@@ -340,22 +442,36 @@ mod tests {
         let ring: BoundedRing<u32> = BoundedRing::new(8);
         ring.try_push(4).unwrap();
         ring.unpop(vec![1, 2, 3]);
-        match ring.pop_many(8, Duration::from_millis(1)) {
-            Popped::Items(items) => assert_eq!(items, vec![1, 2, 3, 4]),
-            other => panic!("expected items, got {other:?}"),
+        assert_eq!(pop(&ring, 8), vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn unpop_takes_the_tail_out_of_the_pop_buffer() {
+        let ring: BoundedRing<u32> = BoundedRing::new(8);
+        for i in 0..6 {
+            ring.try_push(i).unwrap();
         }
+        let mut buf = Vec::new();
+        assert_eq!(
+            ring.pop_many(&mut buf, 4, Duration::from_millis(1)),
+            Popped::Items
+        );
+        // Served 0, panicked on 1: 2 and 3 go back ahead of 4 and 5.
+        ring.unpop(buf.drain(2..));
+        assert_eq!(buf, vec![0, 1]);
+        assert_eq!(pop(&ring, 8), vec![2, 3, 4, 5]);
     }
 
     #[test]
     fn push_wait_blocks_until_space() {
-        use std::sync::Arc;
         let ring: Arc<BoundedRing<u32>> = Arc::new(BoundedRing::new(1));
         ring.try_push(0).unwrap();
         let r2 = Arc::clone(&ring);
         let consumer = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
-            match r2.pop_many(1, Duration::from_millis(100)) {
-                Popped::Items(items) => assert_eq!(items, vec![0]),
+            let mut buf = Vec::new();
+            match r2.pop_many(&mut buf, 1, Duration::from_millis(100)) {
+                Popped::Items => assert_eq!(buf, vec![0]),
                 other => panic!("expected items, got {other:?}"),
             }
         });
@@ -372,6 +488,91 @@ mod tests {
         assert_eq!(
             ring.push_wait(1, Duration::from_millis(10)),
             Err(PushError::Full)
+        );
+    }
+
+    /// Block until some producer is asleep in the ring.
+    fn await_blocked_producer(ring: &BoundedRing<u32>) {
+        while ring.inner.lock().unwrap().producers_waiting == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Wait for `need` slots (re-waiting after early wakes) until they
+    /// are free, the ring closes or 10 s pass; returns the last answer
+    /// and how long it all took.
+    fn spawn_room_waiter(
+        ring: &Arc<BoundedRing<u32>>,
+        need: usize,
+    ) -> std::thread::JoinHandle<(bool, Duration)> {
+        let ring = Arc::clone(ring);
+        std::thread::spawn(move || {
+            let t0 = Instant::now();
+            loop {
+                let ready = ring.wait_room(need, Duration::from_secs(10));
+                if ready || ring.is_closed() || t0.elapsed() >= Duration::from_secs(10) {
+                    return (ready, t0.elapsed());
+                }
+            }
+        })
+    }
+
+    #[test]
+    fn wait_room_wakes_when_a_pop_crosses_the_watermark() {
+        let ring: Arc<BoundedRing<u32>> = Arc::new(BoundedRing::new(8));
+        for i in 0..8 {
+            ring.try_push(i).unwrap();
+        }
+        let waiter = spawn_room_waiter(&ring, 4);
+        await_blocked_producer(&ring);
+        // Three free slots: below the watermark, the waiter stays put.
+        assert_eq!(pop(&ring, 3), vec![0, 1, 2]);
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!waiter.is_finished(), "woke with less room than asked");
+        // The fourth free slot crosses it.
+        assert_eq!(pop(&ring, 1), vec![3]);
+        let (ready, waited) = waiter.join().unwrap();
+        assert!(ready);
+        assert!(
+            waited < Duration::from_secs(5),
+            "waiter returned only after {waited:?}"
+        );
+        // A need above capacity clamps to it: an empty ring satisfies it.
+        assert_eq!(pop(&ring, 8), vec![4, 5, 6, 7]);
+        assert!(ring.wait_room(99, Duration::ZERO));
+    }
+
+    #[test]
+    fn unpop_and_close_wake_a_blocked_producer() {
+        let ring: Arc<BoundedRing<u32>> = Arc::new(BoundedRing::new(4));
+        for i in 0..4 {
+            ring.try_push(i).unwrap();
+        }
+        let r2 = Arc::clone(&ring);
+        let waiter = std::thread::spawn(move || {
+            let t0 = Instant::now();
+            (r2.wait_room(4, Duration::from_secs(10)), t0.elapsed())
+        });
+        await_blocked_producer(&ring);
+        // A crash-return leaves the ring fuller, yet wakes the producer.
+        let mut buf = Vec::new();
+        ring.pop_many(&mut buf, 1, Duration::from_millis(1));
+        ring.unpop(buf.drain(..));
+        let (ready, waited) = waiter.join().unwrap();
+        assert!(!ready, "a fuller ring cannot have the room");
+        assert!(
+            waited < Duration::from_secs(5),
+            "unpop did not wake: {waited:?}"
+        );
+
+        let waiter = spawn_room_waiter(&ring, 1);
+        await_blocked_producer(&ring);
+        ring.close();
+        let (ready, waited) = waiter.join().unwrap();
+        assert!(!ready, "a closed ring has no room");
+        assert!(
+            waited < Duration::from_secs(5),
+            "close did not wake: {waited:?}"
         );
     }
 }

@@ -1,9 +1,13 @@
 //! Integration tests for the daemon's calm-path contracts: ledger
 //! exactness against the library's serial sharded replay, bounded load
 //! shedding, drain-on-shutdown, reject-and-keep-old reload, and the
-//! deterministic live policy switch. (Crash/restart behaviour needs the
-//! failpoint registry and lives in `supervision_check.rs` behind
-//! `--features fault-injection`.)
+//! deterministic live policy switch, and a batched producer's prompt
+//! release when its shard crashes under it (driven by the test-only
+//! panicking policy in `common/`). Failpoint-driven crash/restart
+//! behaviour lives in `supervision_check.rs`.
+
+#[cfg(not(feature = "fault-injection"))]
+mod common;
 
 use std::time::Duration;
 
@@ -525,4 +529,78 @@ fn brownout_sheds_by_class_with_exact_counts() {
     let stats = daemon.shutdown();
     assert_eq!(stats.shards[0].processed, q as u64);
     assert_eq!(stats.shards[0].dropped_at_shutdown, 0);
+}
+
+/// A producer blocked in `submit_batch` on a full ring is released within
+/// milliseconds when the shard leaves `Closed`, not at the end of its
+/// backpressure budget, and the refused rest of its window is tallied
+/// `Down` on the per-request path. (With `fault-injection` the batched
+/// fast path is off, so this is a default-build test.)
+#[cfg(not(feature = "fault-injection"))]
+#[test]
+fn blocked_batch_submit_returns_when_the_shard_crashes() {
+    let (factory, panicked) = common::panic_at_ticks(vec![0]);
+    let cfg = DaemonConfig {
+        shards: 1,
+        queue_capacity: 64,
+        worker_batch: 16,
+        // A crashed shard stays down for the rest of the test.
+        restart: RestartConfig {
+            backoff_base_ms: 600_000,
+            backoff_max_ms: 600_000,
+            storm_threshold: 100,
+            storm_window_ms: 600_000,
+        },
+        ..DaemonConfig::default()
+    };
+    let daemon = Daemon::spawn(cfg, factory).unwrap();
+    // Fill the ring behind a paused worker.
+    daemon.pause_shard(0);
+    for id in 0..64 {
+        daemon.submit(Request::new(0, id, 100)).unwrap();
+    }
+    let window: Vec<Request> = (64..564).map(|id| Request::new(0, id, 100)).collect();
+    let budget = Duration::from_secs(30);
+    let (report, released_after) = std::thread::scope(|scope| {
+        let producer = scope.spawn(|| {
+            let report = cdnd::feed_batched(
+                &daemon,
+                &window,
+                FeedMode::FailFast {
+                    push_timeout: budget,
+                },
+            );
+            (report, std::time::Instant::now())
+        });
+        // Let the producer block on the full ring, then crash the shard
+        // on its first request.
+        std::thread::sleep(Duration::from_millis(50));
+        let crash_at = std::time::Instant::now();
+        daemon.resume_shard(0);
+        let (report, done) = producer.join().unwrap();
+        (report, done.saturating_duration_since(crash_at))
+    });
+    assert!(
+        released_after < Duration::from_secs(2),
+        "blocked producer held for {released_after:?} of its {budget:?} budget"
+    );
+    assert_eq!(*panicked.lock().unwrap(), vec![0]);
+    let stats = daemon.shutdown();
+    let s = &stats.shards[0];
+    assert_eq!((s.crashes, s.lost, s.processed), (1, 1, 0));
+    let tally = &report.per_shard[0];
+    assert_eq!(tally.submitted, window.len() as u64);
+    assert_eq!(tally.accepted + tally.rejected_down, tally.submitted);
+    assert!(
+        tally.rejected_down > 0,
+        "the refused tail must be tallied Down"
+    );
+    assert_eq!(report.outage_windows, 1);
+    // The client's tally reconciles with the daemon's counters (the 64
+    // pre-filled requests were submitted outside the feed), and every
+    // accepted request but the lost one is still queued: the batch's
+    // tail went back to the ring, nothing was served or dropped.
+    assert_eq!(s.rejected_down, tally.rejected_down);
+    assert_eq!(s.enqueued, 64 + tally.accepted);
+    assert_eq!(s.dropped_at_shutdown, s.enqueued - 1);
 }

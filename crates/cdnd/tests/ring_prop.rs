@@ -47,6 +47,8 @@ proptest! {
         // Everything "processed" (kept from a popped batch), in order.
         let mut delivered: Vec<u64> = Vec::new();
         let mut pushed = 0u64;
+        // The worker-owned pop buffer, reused across pops.
+        let mut items: Vec<u64> = Vec::new();
 
         for op in &ops {
             match *op {
@@ -90,8 +92,8 @@ proptest! {
                     next_val += 1;
                 }
                 Op::PopKeepUnpop { max, keep } => {
-                    match ring.pop_many(max, Duration::from_millis(1)) {
-                        Popped::Items(items) => {
+                    match ring.pop_many(&mut items, max, Duration::from_millis(1)) {
+                        Popped::Items => {
                             let take = model.len().min(max.max(1));
                             let expect: Vec<u64> = model.drain(..take).collect();
                             prop_assert_eq!(&items, &expect, "batch must be FIFO");
@@ -119,7 +121,7 @@ proptest! {
         // Drain what remains: delivered ++ residue must be exactly the
         // accepted pushes in submission order — crash-return loses and
         // reorders nothing.
-        while let Popped::Items(items) = ring.pop_many(usize::MAX, Duration::from_millis(1)) {
+        while let Popped::Items = ring.pop_many(&mut items, usize::MAX, Duration::from_millis(1)) {
             let expect: Vec<u64> = model.drain(..).collect();
             prop_assert_eq!(&items, &expect);
             delivered.extend_from_slice(&items);

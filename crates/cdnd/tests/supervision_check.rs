@@ -3,31 +3,40 @@
 //! `cdn-sim/tests/shard_check.rs`), killed shards restart empty, the
 //! restart-storm breaker opens and is operator-resettable, a restarted
 //! shard reads `Closed` only after its warm restore, and the enqueue
-//! failpoint surfaces as a client-visible fault.
+//! failpoint surfaces as a client-visible fault. Kills at fixed offsets
+//! inside one worker batch pin down the batch-scoped isolation contract.
 //!
-//! Compile with `--features fault-injection`; without the feature this
-//! file is empty. The failpoint registry is process-global, so every test
-//! serialises on [`LOCK`] and clears the registry on entry and exit.
+//! The failpoint-driven tests compile with `--features fault-injection`
+//! only; the batch-offset kills crash the worker through a test-only
+//! panicking policy (`common/`) and run in every build. The failpoint
+//! registry is process-global, so every test serialises on [`LOCK`] and
+//! clears the registry on entry and exit.
 
-#![cfg(feature = "fault-injection")]
+mod common;
 
 use std::sync::Mutex;
 use std::time::Duration;
 
-use cdn_cache::fault::{self, FaultAction, FaultRule};
-use cdn_cache::{ObjectId, Request};
-use cdn_sim::PolicyKind;
-use cdnd::{
-    feed, ledger_diff, worker_fault_key, Daemon, DaemonConfig, FeedMode, RestartConfig, ShardPlan,
-    ShardState, SnapshotConfig, SubmitError, FP_ENQUEUE, FP_SHARD_WORKER,
+use cdn_cache::Request;
+use cdnd::{Daemon, DaemonConfig, RestartConfig, ShardState, SubmitError};
+#[cfg(feature = "fault-injection")]
+use {
+    cdn_cache::fault::{self, FaultAction, FaultRule},
+    cdn_cache::ObjectId,
+    cdn_sim::PolicyKind,
+    cdnd::{
+        feed, ledger_diff, worker_fault_key, FeedMode, ShardPlan, SnapshotConfig, FP_ENQUEUE,
+        FP_SHARD_WORKER,
+    },
+    proptest::prelude::*,
 };
-use proptest::prelude::*;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
 /// Serialise on the registry and guarantee a clean slate before/after.
 fn exclusive() -> std::sync::MutexGuard<'static, ()> {
     let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    #[cfg(feature = "fault-injection")]
     fault::clear();
     guard
 }
@@ -45,6 +54,7 @@ fn fast_restarts(storm_threshold: u32) -> RestartConfig {
 
 /// Exactness-measuring feed: retry down/overloaded shards until accepted,
 /// so every request reaches its shard in trace order.
+#[cfg(feature = "fault-injection")]
 fn await_recovery() -> FeedMode {
     FeedMode::AwaitRecovery {
         push_timeout: Duration::from_secs(1),
@@ -55,6 +65,7 @@ fn await_recovery() -> FeedMode {
 
 const QUIESCE: Duration = Duration::from_secs(30);
 
+#[cfg(feature = "fault-injection")]
 proptest! {
     // Each case spawns a daemon and real threads; a modest case count
     // still sweeps shard counts × kill positions × policies broadly.
@@ -147,6 +158,7 @@ proptest! {
 
 /// A killed shard restarts with an empty cache: objects hot before the
 /// crash miss after it, and the lost request is exactly the panicked one.
+#[cfg(feature = "fault-injection")]
 #[test]
 fn killed_shard_restarts_empty() {
     let _g = exclusive();
@@ -210,6 +222,7 @@ fn killed_shard_restarts_empty() {
 /// Three crashes against a threshold-2 breaker: the first two restart
 /// with backoff, the third trips Storm-Open and the shard stays down —
 /// until `reset_shard`, which clears the history and revives it.
+#[cfg(feature = "fault-injection")]
 #[test]
 fn storm_breaker_opens_and_reset_revives() {
     let _g = exclusive();
@@ -285,6 +298,7 @@ fn storm_breaker_opens_and_reset_revives() {
 /// A restarted shard reads `Closed` only once its worker's warm restore
 /// has returned: a client that sees the shard up again also sees the
 /// final restored counters, never a cold-looking zero.
+#[cfg(feature = "fault-injection")]
 #[test]
 fn restarted_shard_is_closed_only_after_warm_restore() {
     let _g = exclusive();
@@ -350,6 +364,7 @@ fn restarted_shard_is_closed_only_after_warm_restore() {
 /// The `cdnd.enqueue` failpoint turns submits into client-visible
 /// transport faults, counted per shard; non-matching keys are untouched
 /// and non-Error actions are ignored at this site.
+#[cfg(feature = "fault-injection")]
 #[test]
 fn enqueue_failpoint_faults_submit() {
     let _g = exclusive();
@@ -399,4 +414,77 @@ fn enqueue_failpoint_faults_submit() {
     assert_eq!(stats.shards[0].faulted_enqueues, 1);
     assert_eq!(stats.shards[0].enqueued, 2);
     assert_eq!(stats.shards[0].processed, 2);
+}
+
+/// Submit `req`, retrying while its shard is down.
+fn submit_until_accepted(daemon: &Daemon, req: Request) {
+    let t0 = std::time::Instant::now();
+    loop {
+        match daemon.submit(req) {
+            Ok(_) => return,
+            Err((_, SubmitError::Down)) if t0.elapsed() < QUIESCE => {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            Err((_, e)) => panic!("unexpected submit error: {e:?}"),
+        }
+    }
+}
+
+/// Kill the worker at offset 0, mid and last of one full `worker_batch`,
+/// and again on the very next tick. Each crash loses exactly the
+/// panicking request; the batch's tail goes back to the ring in order
+/// and is served by the replacement, whose first request carries the
+/// tick right after the crash — so the second kill lands on the next
+/// request whether it is the tail's head or, after a last-offset crash,
+/// the next request submitted.
+#[test]
+fn kills_at_batch_offsets_lose_one_and_requeue_the_tail() {
+    const BATCH: u64 = 16;
+    for offset in [0, BATCH / 2, BATCH - 1] {
+        let _g = exclusive();
+        let (factory, panicked) = common::panic_at_ticks(vec![offset, offset + 1]);
+        let cfg = DaemonConfig {
+            shards: 1,
+            worker_batch: BATCH as usize,
+            restart: fast_restarts(100),
+            ..DaemonConfig::default()
+        };
+        let daemon = Daemon::spawn(cfg, factory).unwrap();
+        // Queue exactly one batch behind a paused worker, so its first
+        // pop takes ticks 0..BATCH in one piece.
+        daemon.pause_shard(0);
+        for id in 0..BATCH {
+            daemon.submit(Request::new(0, id, 100)).unwrap();
+        }
+        daemon.resume_shard(0);
+        let t0 = std::time::Instant::now();
+        while daemon.stats().shards[0].crashes == 0 {
+            assert!(t0.elapsed() < QUIESCE, "offset {offset}: no crash");
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        // One more request after the batch: tick BATCH.
+        submit_until_accepted(&daemon, Request::new(0, BATCH, 100));
+        let t0 = std::time::Instant::now();
+        while daemon.stats().shards[0].restarts < 2 || daemon.shard_state(0) != ShardState::Closed {
+            assert!(t0.elapsed() < QUIESCE, "offset {offset}: no second restart");
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        assert!(daemon.await_quiesced(0, QUIESCE), "offset {offset}: stuck");
+        let stats = daemon.shutdown();
+        let s = &stats.shards[0];
+        assert_eq!(
+            *panicked.lock().unwrap(),
+            vec![offset, offset + 1],
+            "offset {offset}: kill ticks"
+        );
+        assert_eq!(
+            (s.crashes, s.restarts, s.lost),
+            (2, 2, 2),
+            "offset {offset}"
+        );
+        assert_eq!(s.enqueued, BATCH + 1, "offset {offset}");
+        assert_eq!(s.processed, BATCH - 1, "offset {offset}: processed");
+        assert_eq!(s.hits + s.misses, s.processed, "offset {offset}: ledger");
+        assert_eq!(s.dropped_at_shutdown, 0, "offset {offset}");
+    }
 }
